@@ -26,9 +26,15 @@ Acceptance gates:
 * every BCAE-routed record byte-identical to the all-BCAE payload, every
   mixed batch decodes, ledger lengths match the stream (always, smoke
   included);
-* **full mode** (``REPRO_FULL=1``, paper-geometry wedges): adaptive
-  aggregate ratio ≥ 1.3× the all-BCAE ratio at equal-or-better
-  throughput on the 50/50 mixed-occupancy stream.
+* **full mode** (``REPRO_FULL=1``, paper-geometry wedges, the paper's
+  Table-1 BCAE-2D ``m=4, n=8, d=3``): adaptive aggregate ratio ≥ 1.3×
+  the all-BCAE ratio at equal-or-better throughput on the 50/50
+  mixed-occupancy stream.
+
+Both arms are timed on the same compiled entry point,
+``compress_into`` (the adaptive tier routes its BCAE wedges through the
+inner compressor's ``compress_into``), fed one wedge per call as a DAQ
+stream delivers them.
 
 Every run appends machine-readable sections to ``BENCH_rate.json``.
 Runs under pytest (tier-2 bench suite) and as a script::
@@ -56,6 +62,10 @@ _FULL_SPATIAL = (16, 192, 249)
 #: Thresholds swept for the rate–distortion–throughput trajectory
 #: (0.0 = all-BCAE; the policy default is 0.05).
 _THRESHOLDS = (0.0, 0.02, 0.05, 0.10)
+
+#: Wedges per compress call.  One keeps the paper-geometry Table-1 model
+#: small in memory: its decoder workspace grows by ~1 GB per wedge of batch.
+_BATCH = 1
 
 
 def _mixed_stream(n, spatial, sparse_fraction=0.5, sparse_occ=0.005, seed=7):
@@ -91,15 +101,26 @@ def _best_of(fn, repeats=_REPEATS):
     return best
 
 
+def _serve(compressor, wedges):
+    """Compress the stream in ``_BATCH``-wedge ``compress_into`` calls."""
+
+    return [compressor.compress_into(wedges[i:i + _BATCH])
+            for i in range(0, len(wedges), _BATCH)]
+
+
+def _codec_ids(batches):
+    return [c for b in batches for c in b.codec_ids]
+
+
 def _build(spatial, threshold=None, budget_mbps=None):
-    """(inner BCAE compressor, adaptive tier) on the bench model."""
+    """(inner BCAE compressor, adaptive tier) on the bench model: a
+    small BCAE-2D at smoke geometry, the ``build_model`` defaults (Table-1
+    ``m=4, n=8, d=3``) at paper geometry."""
 
     from repro.core import BCAECompressor, build_model
     from repro.rate import AdaptiveCompressor, OccupancyPolicy, RateBudget
 
-    kwargs = dict(m=2, n=2, d=2) if spatial == _SMOKE_SPATIAL else dict(
-        m=1, n=1, d=1
-    )
+    kwargs = dict(m=2, n=2, d=2) if spatial == _SMOKE_SPATIAL else {}
     model = build_model("bcae_2d", wedge_spatial=spatial, seed=0, **kwargs)
     model.eval()
     inner = BCAECompressor(model, half=True)
@@ -125,17 +146,17 @@ def tradeoff_section(wedges, thresholds=_THRESHOLDS, repeats=_REPEATS):
     rows = []
     for threshold in thresholds:
         _inner, adaptive = _build(spatial, threshold=threshold)
-        compressed = adaptive.compress(wedges)  # warm + measured artifact
-        seconds = _best_of(lambda: adaptive.compress(wedges), repeats)
-        recon = adaptive.decompress(compressed)
+        compressed = _serve(adaptive, wedges)  # warm + measured artifact
+        seconds = _best_of(lambda: _serve(adaptive, wedges), repeats)
+        recon = np.concatenate([adaptive.decompress(c) for c in compressed])
         err = np.abs(recon - logged)
-        classical = [i for i, c in enumerate(compressed.codec_ids)
+        classical = [i for i, c in enumerate(_codec_ids(compressed))
                      if c != BCAE_CODEC_ID]
         rows.append({
             "threshold": threshold,
             "n_classical": len(classical),
-            "n_bcae": compressed.n_wedges - len(classical),
-            "aggregate_ratio": aggregate_ratio([compressed], spatial),
+            "n_bcae": len(wedges) - len(classical),
+            "aggregate_ratio": aggregate_ratio(compressed, spatial),
             "wedges_per_second": len(wedges) / seconds,
             "mse_log": float(np.mean(err ** 2)),
             "classical_max_err_log": (
@@ -165,25 +186,28 @@ def adaptive_vs_bcae_section(wedges, repeats=_REPEATS):
     spatial = wedges.shape[1:]
     inner, adaptive = _build(spatial)
 
-    mixed = adaptive.compress(wedges)      # warm both paths
-    full = inner.compress(wedges)
-    record = full.nbytes // full.n_wedges
-    views = record_views(mixed)
-    payload = bytes(full.payload)
-    routed = [i for i, c in enumerate(mixed.codec_ids)
-              if c == BCAE_CODEC_ID]
-    parity = all(
-        bytes(views[i]) == payload[i * record:(i + 1) * record]
-        for i in routed
-    )
-    decodes = adaptive.decompress(mixed).shape == (
-        (len(wedges),) + tuple(spatial)
+    # Warm both paths and take the parity bytes before any timing.
+    mixed = _serve(adaptive, wedges)
+    full = _serve(inner, wedges)
+    parity = True
+    for m, f in zip(mixed, full):
+        record = f.nbytes // f.n_wedges
+        views = record_views(m)
+        payload = bytes(f.payload)
+        parity = parity and all(
+            bytes(views[i]) == payload[i * record:(i + 1) * record]
+            for i, c in enumerate(m.codec_ids) if c == BCAE_CODEC_ID
+        )
+    routed = [c for c in _codec_ids(mixed) if c == BCAE_CODEC_ID]
+    decodes = all(
+        adaptive.decompress(m).shape == (m.n_wedges,) + tuple(spatial)
+        for m in mixed
     )
 
-    bcae_s = _best_of(lambda: inner.compress(wedges), repeats)
-    adaptive_s = _best_of(lambda: adaptive.compress(wedges), repeats)
-    bcae_ratio = aggregate_ratio([full], spatial)
-    adaptive_ratio = aggregate_ratio([mixed], spatial)
+    bcae_s = _best_of(lambda: _serve(inner, wedges), repeats)
+    adaptive_s = _best_of(lambda: _serve(adaptive, wedges), repeats)
+    bcae_ratio = aggregate_ratio(full, spatial)
+    adaptive_ratio = aggregate_ratio(mixed, spatial)
     return {
         "section": "adaptive_vs_bcae",
         "n_wedges": len(wedges),
@@ -197,7 +221,8 @@ def adaptive_vs_bcae_section(wedges, repeats=_REPEATS):
         "throughput_gain": bcae_s / adaptive_s,
         "bcae_records_bit_identical": bool(parity),
         "mixed_batch_decodes": bool(decodes),
-        "ledger_complete": len(mixed.decisions) == len(wedges),
+        "ledger_complete": (sum(len(m.decisions) for m in mixed)
+                            == len(wedges)),
     }
 
 
@@ -213,18 +238,20 @@ def budget_section(wedges, budgets_mbps=(None, 50.0, 0.001)):
     deterministic = True
     for mbps in budgets_mbps:
         _inner, adaptive = _build(spatial, budget_mbps=mbps)
-        a = adaptive.compress(wedges)
-        b = adaptive.compress(wedges)
-        deterministic = deterministic and (
-            a.decisions == b.decisions
-            and bytes(a.payload) == bytes(b.payload)
+        a = _serve(adaptive, wedges)
+        b = _serve(adaptive, wedges)
+        deterministic = deterministic and all(
+            x.decisions == y.decisions
+            and bytes(x.payload) == bytes(y.payload)
+            for x, y in zip(a, b)
         )
         rows.append({
             "budget_mbps": mbps,
-            "n_classical": sum(1 for c in a.codec_ids
+            "n_classical": sum(1 for c in _codec_ids(a)
                                if c != BCAE_CODEC_ID),
-            "aggregate_ratio": aggregate_ratio([a], spatial),
-            "mean_record_bytes": sum(a.record_sizes) / a.n_wedges,
+            "aggregate_ratio": aggregate_ratio(a, spatial),
+            "mean_record_bytes": (sum(s for x in a for s in x.record_sizes)
+                                  / len(wedges)),
         })
     return {
         "section": "rate_budget",

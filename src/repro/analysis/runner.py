@@ -49,7 +49,6 @@ def _package_root() -> Path:
 
 def analyze_model_plans(names=None, half: bool = True,
                         wedge_spatial: tuple[int, int, int] = SMOKE_WEDGE,
-                        precision: str = "bit",
                         ) -> tuple[list[Diagnostic], list[dict]]:
     """Verify encoder + decoder plans of the zoo models; returns
     ``(diagnostics, verification records)``.
@@ -87,7 +86,7 @@ def analyze_model_plans(names=None, half: bool = True,
                 token="vocabulary",
             ))
             continue
-        enc = make_fast_encoder(model, half=half, precision=precision)
+        enc = make_fast_encoder(model, half=half)
         if hasattr(enc, "spatial"):           # 3D: single-channel volume
             in_channels, in_spatial = 1, tuple(enc.spatial)
         else:                                 # 2D: radial axis as channels
@@ -101,7 +100,7 @@ def analyze_model_plans(names=None, half: bool = True,
         records.append(rec)
         diags.extend(rec["diagnostic_objects"])
 
-        dec = make_fast_decoder(model, half=half, precision=precision)
+        dec = make_fast_decoder(model, half=half)
         code = rec["out"]
         entry = FP16_MAX if half else rec["out"]["bound"]
         for head, plan in dec.plans.items():
@@ -115,15 +114,12 @@ def analyze_model_plans(names=None, half: bool = True,
 
 def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
                  extra_sources=(), half: bool = True,
-                 precision: str = "bit",
                  ) -> tuple[AnalysisReport, list[dict]]:
     """Run the selected passes; returns ``(report, plan records)``.
 
     ``extra_sources`` are additional file paths fed to the hot-path and
     concurrency lints — the CI injected-finding fixture uses this to prove
-    the gate fails on a fresh finding.  ``precision`` selects the compile
-    tier for the plan pass (``"ulp"`` exercises the relaxed-numerics
-    ledger rules PV050–PV052).
+    the gate fails on a fresh finding.
     """
 
     root = _package_root()
@@ -131,8 +127,7 @@ def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
     records: list[dict] = []
     extra = [Path(p) for p in extra_sources]
     if "plan" in passes:
-        plan_diags, records = analyze_model_plans(half=half,
-                                                  precision=precision)
+        plan_diags, records = analyze_model_plans(half=half)
         diags.extend(plan_diags)
     if "hotpath" in passes:
         diags.extend(hotpath_lint_paths(hotpath_targets(root),

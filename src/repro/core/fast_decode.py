@@ -32,7 +32,7 @@ The contract mirrors the encoder's, *bit-identical output*:
   ``BCAECompressor.decompress`` (§2.3).
 
 The test suite enforces this across 2D and 3D model-zoo variants, batch
-sizes and both precision modes.
+sizes and both fp16 and fp32 modes.
 """
 
 from __future__ import annotations
@@ -100,18 +100,15 @@ def supports_fast_decode(model) -> bool:
     return False
 
 
-def make_fast_decoder(model, half: bool = True, precision: str = "bit",
-                      panel_threads: int | None = None):
+def make_fast_decoder(model, half: bool = True, panel_threads: int | None = None):
     """Build the compiled decoder pair for a model that passes
     :func:`supports_fast_decode` (2D and 3D families dispatch to their
-    wrapper).  ``precision`` and ``panel_threads`` forward to both head
-    plans (:class:`~repro.core.fast_plan.CompiledStagePlan`)."""
+    wrapper).  ``panel_threads`` forwards to both head plans
+    (:class:`~repro.core.fast_plan.CompiledStagePlan`)."""
 
     if isinstance(getattr(model, "seg_decoder", None), BCAEDecoder2D):
-        return FastDecoder2D(model, half=half, precision=precision,
-                             panel_threads=panel_threads)
-    return FastDecoder3D(model, half=half, precision=precision,
-                         panel_threads=panel_threads)
+        return FastDecoder2D(model, half=half, panel_threads=panel_threads)
+    return FastDecoder3D(model, half=half, panel_threads=panel_threads)
 
 
 class FastDecoder2D:
@@ -130,7 +127,7 @@ class FastDecoder2D:
         replicates the full-precision module path.
     """
 
-    def __init__(self, model, half: bool = True, precision: str = "bit",
+    def __init__(self, model, half: bool = True,
                  panel_threads: int | None = None) -> None:
         if not (isinstance(getattr(model, "seg_decoder", None), BCAEDecoder2D)
                 and supports_fast_decode(model)):
@@ -147,11 +144,9 @@ class FastDecoder2D:
         # (each op fully rewrites what it reads; see CompiledStagePlan).
         self._seg = CompiledStagePlan(model.seg_decoder.stages, half=self.half,
                                       workspace=ws, prefix="d",
-                                      precision=precision,
                                       panel_threads=panel_threads)
         self._reg = CompiledStagePlan(model.reg_decoder.stages, half=self.half,
                                       workspace=ws, prefix="d",
-                                      precision=precision,
                                       panel_threads=panel_threads)
         self._ws = ws
 
@@ -237,7 +232,7 @@ class FastDecoder3D:
         replicates the full-precision module path.
     """
 
-    def __init__(self, model, half: bool = True, precision: str = "bit",
+    def __init__(self, model, half: bool = True,
                  panel_threads: int | None = None) -> None:
         if not (isinstance(getattr(model, "seg_decoder", None), BCAEDecoder3D)
                 and supports_fast_decode(model)):
@@ -250,11 +245,9 @@ class FastDecoder3D:
         ws = Workspace()
         self._seg = CompiledStagePlan(_decoder3d_stages(model.seg_decoder),
                                       half=self.half, workspace=ws, prefix="d",
-                                      precision=precision,
                                       panel_threads=panel_threads)
         self._reg = CompiledStagePlan(_decoder3d_stages(model.reg_decoder),
                                       half=self.half, workspace=ws, prefix="d",
-                                      precision=precision,
                                       panel_threads=panel_threads)
         self._ws = ws
 

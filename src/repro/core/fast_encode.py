@@ -24,7 +24,7 @@ The contract is *bit-identical output*: for every input accepted by the
 module path, ``encode`` returns exactly the code bytes that ``model.encode``
 under ``nn.amp.autocast`` (followed by the fp16 payload cast of
 ``BCAECompressor.compress``) produces.  The test suite enforces this across
-2D and 3D model variants, batch sizes and both precision modes.
+2D and 3D model variants, batch sizes and both fp16 and fp32 modes.
 """
 
 from __future__ import annotations
@@ -77,20 +77,17 @@ def supports_fast_encode(model) -> bool:
     return False
 
 
-def make_fast_encoder(model, half: bool = True, precision: str = "bit",
-                      panel_threads: int | None = None):
+def make_fast_encoder(model, half: bool = True, panel_threads: int | None = None):
     """Build the compiled encoder for a model that passes
     :func:`supports_fast_encode` (2D and 3D families dispatch to their
-    wrapper).  ``precision`` and ``panel_threads`` forward to
-    :class:`~repro.core.fast_plan.CompiledStagePlan` (the opt-in ulp tier
-    and the intra-plan panel executor)."""
+    wrapper).  ``panel_threads`` forwards to
+    :class:`~repro.core.fast_plan.CompiledStagePlan` (the intra-plan panel
+    executor)."""
 
     encoder = getattr(model, "encoder", model)
     if isinstance(encoder, BCAEEncoder2D):
-        return FastEncoder2D(encoder, half=half, precision=precision,
-                             panel_threads=panel_threads)
-    return FastEncoder3D(encoder, half=half, precision=precision,
-                         panel_threads=panel_threads)
+        return FastEncoder2D(encoder, half=half, panel_threads=panel_threads)
+    return FastEncoder3D(encoder, half=half, panel_threads=panel_threads)
 
 
 class FastEncoder2D:
@@ -104,15 +101,11 @@ class FastEncoder2D:
     half:
         Replicate the fp16 autocast numerics (the deployment mode, §3.3).
         When False the full-precision module path is replicated instead.
-    precision:
-        ``"bit"`` (default) or the opt-in ``"ulp"`` serving tier — see
-        :class:`~repro.core.fast_plan.CompiledStagePlan`.
     panel_threads:
         Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
     def __init__(self, encoder: BCAEEncoder2D, half: bool = True,
-                 precision: str = "bit",
                  panel_threads: int | None = None) -> None:
         if not (isinstance(encoder, BCAEEncoder2D) and supports_fast_encode(encoder)):
             raise TypeError(
@@ -123,7 +116,6 @@ class FastEncoder2D:
         self.d = encoder.d
         self.code_channels = encoder.code_channels
         self._plan = CompiledStagePlan(encoder.stages, half=self.half,
-                                       precision=precision,
                                        panel_threads=panel_threads)
         self._ws = self._plan.workspace
 
@@ -201,15 +193,11 @@ class FastEncoder3D:
         original BCAE's eval-mode BatchNorm stacks).
     half:
         Replicate the fp16 autocast numerics (§3.3 deployment mode).
-    precision:
-        ``"bit"`` (default) or the opt-in ``"ulp"`` serving tier — see
-        :class:`~repro.core.fast_plan.CompiledStagePlan`.
     panel_threads:
         Intra-plan panel executor width (None → ``REPRO_PANEL_THREADS``).
     """
 
     def __init__(self, encoder: BCAEEncoder3D, half: bool = True,
-                 precision: str = "bit",
                  panel_threads: int | None = None) -> None:
         if not (isinstance(encoder, BCAEEncoder3D) and supports_fast_encode(encoder)):
             raise TypeError(
@@ -220,7 +208,6 @@ class FastEncoder3D:
         self.spatial = tuple(encoder.spatial)
         self.code_channels = encoder.code_channels
         self._plan = CompiledStagePlan(encoder.blocks, half=self.half,
-                                       precision=precision,
                                        panel_threads=panel_threads)
         self._ws = self._plan.workspace
 

@@ -141,7 +141,7 @@ The contract, inherited by every plan the engine compiles, is **bit-identical
 output**: for every input accepted by the module path, :meth:`run` returns
 exactly the values ``nn.Sequential`` under ``nn.amp.autocast`` produces.
 The test suite enforces this across 2D and 3D model variants, batch sizes
-and both precision modes, for the encoders and for both decoder heads.
+and both fp16 and fp32 modes, for the encoders and for both decoder heads.
 """
 
 from __future__ import annotations
@@ -165,14 +165,9 @@ __all__ = [
     "DECODE_ENTRY_KINDS",
     "FP16_MAX",
     "PANEL_THREADS_ENV",
-    "PRECISIONS",
-    "ULP_TIER_MAX_ULP",
-    "ULP_TIER_RECON_GRID_STEPS",
     "Workspace",
     "entry_kinds_ok",
     "fold_batchnorm",
-    "grid_steps_at_scale",
-    "max_ulp_diff",
     "stage_kinds",
 ]
 
@@ -204,45 +199,6 @@ _PANEL_BYTES = 1 << 20
 #: output bits are identical at every thread count.
 PANEL_THREADS_ENV = "REPRO_PANEL_THREADS"
 
-#: The two compilation tiers: ``"bit"`` (default — every fast formulation
-#: must be proven bit-identical by its calibration probe) and ``"ulp"``
-#: (opt-in serving tier — BN→Conv folds and panel-blocked GEMM formulations
-#: whose probe measures a nonzero but bounded stored-grid deviation are
-#: kept, each engagement recorded on :attr:`CompiledStagePlan.ulp_sites`).
-PRECISIONS = ("bit", "ulp")
-
-#: Per-site cap of the ulp tier: a probe-rejected fold/formulation may be
-#: kept under ``precision="ulp"`` only when the probe measured its maximum
-#: absolute deviation at or below this many **grid steps at the stage's
-#: magnitude scale** — the stored grid's spacing evaluated at the probe's
-#: maximum reference magnitude (fp16 grid in half mode, the deployment
-#: representation every stage output is snapped onto; fp32 in full).  This
-#: is the range-relative error bound of the SZ/ZFP error-bounded-lossy
-#: tradition expressed in units of the stored grid (see
-#: :func:`grid_steps_at_scale`); *elementwise* ulp distance is deliberately
-#: not the metric — reassociated cancellation noise near zero measures in
-#: the billions of elementwise ulps while being physically negligible.
-ULP_TIER_MAX_ULP = 2
-
-#: End-to-end contract of the ulp tier, asserted by the archive round-trip
-#: test and the bench: reconstructions deviate from the bit tier's by at
-#: most this many grid steps at the reconstruction scale
-#: (``grid_steps_at_scale(recon_ulp, recon_bit, True)``; measured
-#: deviations are typically ≤ 1 — the slack covers the rare multi-stage
-#: compounding of single-step flips through downstream convolutions).
-ULP_TIER_RECON_GRID_STEPS = 4
-
-#: Byte size of one cache-resident block of the fused BatchNorm affine
-#: kernel (see :meth:`_BNSpec.apply`).
-_BN_BLOCK = 1 << 18
-
-#: A/B switch for the fused BatchNorm traversal — flipped (to False) only
-#: by the decode bench to measure the fused kernel against the plain
-#: 4-ufunc broadcast chain.  Both evaluate the same per-channel affine in
-#: the same operation order, so bits are identical either way.
-_FUSED_BNORM = True
-
-
 def _resolve_panel_threads(requested: int | None) -> int:
     """Panel-executor thread count: explicit argument, else the
     ``REPRO_PANEL_THREADS`` environment knob, else 1 (serial)."""
@@ -256,78 +212,6 @@ def _resolve_panel_threads(requested: int | None) -> int:
                 f"{PANEL_THREADS_ENV} must be an integer, got {env!r}"
             ) from None
     return max(1, int(requested))
-
-
-def max_ulp_diff(a: np.ndarray, b: np.ndarray) -> int:
-    """Largest elementwise distance between two same-dtype float arrays,
-    in units-in-the-last-place of that dtype's grid.
-
-    The IEEE-754 bit patterns are mapped onto a monotone integer scale
-    (two's-complement folding of the sign), where adjacent representable
-    floats differ by exactly 1 — the standard ulp metric the calibration
-    probes record and the ulp tier bounds.  float16 inputs are measured on
-    the fp16 grid (one ulp = one grid step of the stored deployment
-    representation), everything else on the fp32 grid.  Any non-finite
-    lane on either side that is not bit-equal counts as an infinite
-    distance (the probes only feed finite values, so this is defensive).
-    """
-
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == np.float16 and b.dtype == np.float16:
-        itype, sign_fold = np.int16, np.int64(-1) << 15
-        ai = a.view(np.int16).astype(np.int64)
-        bi = b.view(np.int16).astype(np.int64)
-    else:
-        itype = np.int32
-        sign_fold = np.int64(-1) << 31
-        a = np.asarray(a, dtype=np.float32)
-        b = np.asarray(b, dtype=np.float32)
-        ai = a.view(np.int32).astype(np.int64)
-        bi = b.view(np.int32).astype(np.int64)
-    np.subtract(sign_fold, ai, out=ai, where=ai < 0)
-    np.subtract(sign_fold, bi, out=bi, where=bi < 0)
-    d = np.abs(ai - bi)
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.all():
-        if not np.array_equal(a[~finite].view(itype), b[~finite].view(itype)):
-            return int(np.iinfo(np.int64).max)
-        d[~finite] = 0
-    return int(d.max()) if d.size else 0
-
-
-def grid_steps_at_scale(got, ref, half: bool) -> int:
-    """Deviation of ``got`` from ``ref`` in grid steps at the data's scale.
-
-    The metric of the ulp tier: the maximum absolute elementwise deviation,
-    divided by the stored grid's spacing at the reference's maximum
-    magnitude (the fp16 grid in half mode, fp32 in full), rounded up.
-    0 means value-equal; 1 means every value moved by less than one grid
-    step *as measured at the stage's largest output* — the range-relative
-    bound of the SZ/ZFP error-bounded tradition in stored-grid units.
-
-    Elementwise ulp distance (:func:`max_ulp_diff`) is deliberately not
-    used here: reassociated fp32 rounding flips the sign of outputs that
-    cancel to ≈0, and the elementwise metric counts every denormal between
-    them — billions of ulps for a physically negligible deviation — so it
-    can never certify a real BN fold.  Scaling the absolute deviation by
-    the stage's own grid spacing bounds what any downstream consumer of
-    the stored representation can observe.
-    """
-
-    got = np.asarray(got, dtype=np.float32)
-    ref = np.asarray(ref, dtype=np.float32)
-    if got.size == 0 or np.array_equal(got, ref):
-        return 0
-    err = float(np.max(np.abs(got - ref)))
-    if not np.isfinite(err):
-        return int(np.iinfo(np.int64).max)
-    scale = float(np.max(np.abs(ref)))
-    if half:
-        step = float(np.spacing(np.float16(min(scale, _FP16_MAX))))
-    else:
-        step = float(np.spacing(np.float32(scale)))
-    return int(np.ceil(err / step))
 
 
 def _leaky_ok(*acts) -> bool:
@@ -629,45 +513,17 @@ class _BNSpec:
         """The module's eval forward on a channel-major stream, verbatim.
 
         The chain is the module's exact four fp32 ufuncs — subtract μ,
-        multiply inv_std, multiply γ, add β.  Elementwise fp32 ops round
-        identically regardless of layout or blocking, so the values are bit
-        for bit the module path's ``(x_hat·γ + β)`` on the same stream.
-
-        Two traversals implement that same chain:
-
-        * the broadcast path — four whole-array passes with per-channel
-          operand columns, used for small streams (and as the bench's A/B
-          reference via the ``_FUSED_BNORM`` switch);
-        * the fused path — one pass over memory: per (channel, sample) the
-          stream is cut into ``_BN_BLOCK``-sized row blocks, the first
-          subtract pulls a block out of the (possibly strided) source into
-          the contiguous output once, and the remaining three ufuncs rewrite
-          it while it is cache-resident with *scalar* per-channel operands.
-          Each element is loaded from DRAM once and stored once, versus four
-          load/store round trips for the broadcast path.
+        multiply inv_std, multiply γ, add β — as four whole-array passes
+        with per-channel operand columns.  Elementwise fp32 ops round
+        identically regardless of layout, so the values are bit for bit
+        the module path's ``(x_hat·γ + β)`` on the same stream.
         """
 
         out = ws.get((key, "bn"), src.shape)
-        if not _FUSED_BNORM or src[:1].nbytes <= _BN_BLOCK:
-            np.subtract(src, self._col(self.mean, src.ndim), out=out)
-            np.multiply(out, self._col(self.inv_std, src.ndim), out=out)
-            np.multiply(out, self._col(self.gamma, src.ndim), out=out)
-            np.add(out, self._col(self.beta, src.ndim), out=out)
-            return out
-        mean, inv_std, gamma, beta = self.mean, self.inv_std, self.gamma, self.beta
-        n = src.shape[1]
-        sp0 = src.shape[2] if src.ndim > 2 else 1
-        row_bytes = max(src[0, 0].nbytes // max(sp0, 1), 1)
-        step = max(1, _BN_BLOCK // row_bytes)
-        for ci in range(src.shape[0]):
-            mu, i, g, b = mean[ci], inv_std[ci], gamma[ci], beta[ci]
-            for bi in range(n):
-                for z0 in range(0, sp0, step):
-                    blk = out[ci, bi, z0:z0 + step]
-                    np.subtract(src[ci, bi, z0:z0 + step], mu, out=blk)
-                    np.multiply(blk, i, out=blk)
-                    np.multiply(blk, g, out=blk)
-                    np.add(blk, b, out=blk)
+        np.subtract(src, self._col(self.mean, src.ndim), out=out)
+        np.multiply(out, self._col(self.inv_std, src.ndim), out=out)
+        np.multiply(out, self._col(self.gamma, src.ndim), out=out)
+        np.add(out, self._col(self.beta, src.ndim), out=out)
         return out
 
     def apply_channels(self, vals: np.ndarray) -> np.ndarray:
@@ -732,7 +588,7 @@ def fold_batchnorm(bn_spec, conv_weight: np.ndarray, conv_bias,
 
 
 def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
-                     half: bool) -> tuple[bool, int]:
+                     half: bool) -> bool:
     """Calibrate one speculative ``BatchNorm → Conv`` fold.
 
     The exact chain is ``q(((x−μ)·i)·γ + β)`` into the convolution (``q``
@@ -742,16 +598,11 @@ def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
     negatives, values straddling the fp16 denormal boundary where
     power-of-two scale folds break — is pushed through both.
 
-    Returns ``(bit_ok, grid_ulp)``: whether the final (post-quantize, in
-    half mode) outputs are bit-equal — the only signal the default
-    ``precision="bit"`` tier consults — and the measured maximum deviation
-    of those outputs in grid steps at the stage's scale
-    (:func:`grid_steps_at_scale`), which the opt-in ulp tier bounds
-    against :data:`ULP_TIER_MAX_ULP`.  Under the bit tier any deviation rejects
-    the fold and the stage runs as the exact affine pass instead; for
-    non-trivial statistics the reassociated fp32 rounding deviates and
-    this probe is expected to reject (recorded on the plan).  Behaviour is
-    never traded for speed.
+    Returns whether the final (post-quantize, in half mode) outputs are
+    bit-equal.  Any deviation rejects the fold and the stage runs as the
+    exact affine pass instead; for non-trivial statistics the reassociated
+    fp32 rounding deviates and this probe is expected to reject (recorded
+    on the plan).  Behaviour is never traded for speed.
     """
 
     nd = len(spec.kernel)
@@ -777,40 +628,25 @@ def _bn_fold_matches(bn_spec, spec: "_ConvSpec", folded: "_ConvSpec",
     got = conv_forward(q(x), folded.w_raw, folded.stride, folded.padding,
                        bias=folded.bias)
     if half:
-        refq = quantize_fp16(ref)
-        gotq = quantize_fp16(got)
-        return (bool(np.array_equal(gotq, refq)),
-                grid_steps_at_scale(gotq, refq, True))
-    return bool(np.array_equal(got, ref)), grid_steps_at_scale(got, ref, False)
+        return bool(np.array_equal(quantize_fp16(got), quantize_fp16(ref)))
+    return bool(np.array_equal(got, ref))
 
 
 def _try_fold_bn_conv(bn_spec, spec: "_ConvSpec", half: bool,
-                      precision: str = "bit",
-                      ) -> tuple["_ConvSpec | None", str, int]:
+                      ) -> tuple["_ConvSpec | None", str]:
     """Speculatively fold ``BN → Conv``.
 
-    Returns ``(folded spec | None, reason, max_ulp)``.  Under the default
-    ``precision="bit"`` only a probe-proven bit-equal fold is kept
-    (``max_ulp`` is then 0 by definition of the probe).  Under
-    ``precision="ulp"`` a probe-rejected fold is still kept when its
-    measured deviation in grid steps at the stage's scale
-    (:func:`grid_steps_at_scale`) is within :data:`ULP_TIER_MAX_ULP` — the
-    caller must record the returned bound on the plan's
-    :attr:`~CompiledStagePlan.ulp_sites`.
+    Returns ``(folded spec | None, reason)``: only a probe-proven
+    bit-equal fold is kept.
     """
 
     w_f, b_f = fold_batchnorm(bn_spec, spec.w_raw, spec.bias, "bn_conv")
     folded = _ConvSpec._from_weight(w_f, b_f, spec.kernel, spec.stride,
                                     spec.padding)
-    bit_ok, raw_ulp = _bn_fold_matches(bn_spec, spec, folded, half)
-    if bit_ok:
-        return folded, "folded: probe proved bit-equality", 0
-    if precision == "ulp" and raw_ulp <= ULP_TIER_MAX_ULP:
-        return folded, (f"folded under ulp tier: probe measured max "
-                        f"{raw_ulp} grid step(s) at stage scale "
-                        f"(cap {ULP_TIER_MAX_ULP})"), raw_ulp
+    if _bn_fold_matches(bn_spec, spec, folded, half):
+        return folded, "folded: probe proved bit-equality"
     return None, ("kept affine stage: fold reassociates fp32 rounding "
-                  "(calibration probe mismatch on this build)"), raw_ulp
+                  "(calibration probe mismatch on this build)")
 
 
 #: None until calibrated: whether the integer round-to-nearest-even grid
@@ -952,11 +788,10 @@ def _transposed_gemm_matches(n: int, rows: int, K: int, o: int) -> bool:
     return hit
 
 
-#: (n, rows, K, O, P) → ``(ulp32, ulp16)``: measured max deviation of the
-#: panel-blocked transposed GEMMs from the per-sample reference contraction
-#: on this BLAS build, in raw fp32 ulps and in fp16 grid steps of the
-#: quantized outputs ((0, 0) = bit-identical).
-_BLOCKED_GEMM_ULP: dict = {}
+#: (n, rows, K, O, P) → whether the panel-blocked transposed GEMMs
+#: reproduce the per-sample reference contraction bit for bit on this BLAS
+#: build.
+_BLOCKED_GEMM_OK: dict = {}
 
 #: (n, rows, K, O, P) → whether reference-orientation row panels reproduce
 #: the per-sample reference contraction bit for bit on this BLAS build.
@@ -984,7 +819,7 @@ def _panel_cols(K: int, ow: int, m: int) -> int:
     return min(int(rows) * ow, m)
 
 
-def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, int]:
+def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool:
     """Calibrate the panel-blocked GEMM formulation for one problem shape.
 
     The blocked executor runs one ``(O, K) @ (K, P)`` GEMM per gathered
@@ -992,22 +827,15 @@ def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, i
     Each output element is the same K-term dot product as the reference
     per-sample contraction, and BLAS's k-accumulation order is a function
     of problem shape only — so one dense-random probe per shape, comparing
-    every panel against the per-sample reference on raw bits, measures the
-    formulation's deviation once per (batch, shape, panel) — comparable in
-    cost to a single module-path convolution at the same shape.
-
-    Returns ``(ulp32, ulp16)``: the maximum deviation in grid steps at the
-    probe's scale (:func:`grid_steps_at_scale`) measured on the fp32
-    results and on their fp16-snapped images.  ``ulp32 == 0`` means
-    bit-identical — the only value the default ``precision="bit"`` tier
-    accepts; the opt-in ulp tier bounds the metric of the plan's stored
-    grid (``ulp16`` when the fp16 snap follows, ``ulp32`` otherwise)
-    against :data:`ULP_TIER_MAX_ULP`.  Behaviour is never traded for
-    speed.
+    every panel against the per-sample reference on raw bits, decides the
+    formulation once per (batch, shape, panel) — comparable in cost to a
+    single module-path convolution at the same shape.  The probe stops at
+    the first unequal panel; the tail panel is checked last.  Behaviour is
+    never traded for speed.
     """
 
     key = (n, rows, K, o, P)
-    hit = _BLOCKED_GEMM_ULP.get(key)
+    hit = _BLOCKED_GEMM_OK.get(key)
     if hit is None:
         rng = np.random.default_rng(0xB10C)
         m = n * rows
@@ -1019,51 +847,26 @@ def _blocked_gemm_ulp(n: int, rows: int, K: int, o: int, P: int) -> tuple[int, i
         bt = np.ascontiguousarray(b.T)
         panel = np.empty((K, P), dtype=np.float32)
         got = np.empty((o, P), dtype=np.float32)
-        err32 = err16 = 0.0
-        exact = True
-        for c0 in range(0, m, P):
-            pw = min(P, m - c0)
-            if pw == P:
-                np.copyto(panel, a[c0:c0 + P].T)
-                np.dot(bt, panel, out=got)
-                gp = got.T
-            else:
-                tail = np.ascontiguousarray(a[c0:c0 + pw].T)
-                gp = np.dot(bt, tail).T
-            rp = ref[c0:c0 + pw]
-            if not np.array_equal(gp, rp):
-                exact = False
-                err32 = max(err32, float(np.max(np.abs(gp - rp))))
-                # Probe dot products stay far inside the fp16 range
-                # (|x| ≲ 4·√K), so the plain cast is the grid snap.
-                d16 = (gp.astype(np.float16).astype(np.float32)
-                       - rp.astype(np.float16).astype(np.float32))
-                err16 = max(err16, float(np.max(np.abs(d16))))
-        if exact:
-            hit = (0, 0)
-        else:
-            scale = float(np.max(np.abs(ref)))
-            s32 = float(np.spacing(np.float32(scale)))
-            s16 = float(np.spacing(np.float16(min(scale, _FP16_MAX))))
-            # A non-bit-equal probe must report ≥ 1 on the fp32 metric:
-            # ulp32 == 0 is the bit tier's acceptance signal.
-            hit = (max(1, int(np.ceil(err32 / s32))),
-                   int(np.ceil(err16 / s16)))
-        _BLOCKED_GEMM_ULP[key] = hit
+        full = m - m % P
+        hit = True
+        for c0 in range(0, full, P):
+            np.copyto(panel, a[c0:c0 + P].T)
+            np.dot(bt, panel, out=got)
+            if not np.array_equal(got.T, ref[c0:c0 + P]):
+                hit = False
+                break
+        if hit and full < m:
+            tail = np.ascontiguousarray(a[full:].T)
+            hit = bool(np.array_equal(np.dot(bt, tail).T, ref[full:]))
+        _BLOCKED_GEMM_OK[key] = hit
     return hit
-
-
-def _blocked_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> bool:
-    """Bit-tier gate on :func:`_blocked_gemm_ulp` (deviation must be 0)."""
-
-    return _blocked_gemm_ulp(n, rows, K, o, P)[0] == 0
 
 
 def _blocked_pad_gemm_matches(n: int, rows: int, K: int, o: int, P: int) -> int:
     """Calibrate the repacked (zero-padded output channel) panel GEMM.
 
     The two paper-scale transposed-conv GEMMs with O ≤ 2 fail
-    :func:`_blocked_gemm_ulp` because BLAS dispatches a narrow
+    :func:`_blocked_gemm_matches` because BLAS dispatches a narrow
     matrix-vector-ish kernel for 1–2 result rows whose k-accumulation
     differs from the per-sample reference.  Repacking the weight operand as
     ``(O_pad, K)`` with ``O_pad − O`` zero rows makes the same panels
@@ -1240,17 +1043,6 @@ class CompiledStagePlan:
         but lose the steady-state reuse.
     prefix:
         Workspace key namespace for this plan's buffers.
-    precision:
-        ``"bit"`` (default): every fast formulation must be proven
-        bit-identical by its calibration probe — behaviour is never traded
-        for speed.  ``"ulp"`` (opt-in serving tier): BN→Conv folds and
-        panel-blocked GEMM formulations whose probe measured a nonzero but
-        bounded deviation (≤ :data:`ULP_TIER_MAX_ULP` fp32 ulps per site)
-        are kept for speed; every engagement is recorded on
-        :attr:`ulp_sites` and checked by the plan verifier's bound chain.
-        Outputs remain deterministic — the same plan produces the same
-        bits on every run at every thread count — they are just no longer
-        the module graph's bits at the relaxed sites.
     panel_threads:
         Worker count for the intra-plan panel executor (blocked im2col
         panels of one GEMM run concurrently; NumPy releases the GIL inside
@@ -1262,7 +1054,6 @@ class CompiledStagePlan:
 
     def __init__(self, stages, half: bool = True,
                  workspace: Workspace | None = None, prefix: str = "",
-                 precision: str = "bit",
                  panel_threads: int | None = None) -> None:
         kinds = stage_kinds(stages)
         if kinds is None:
@@ -1270,21 +1061,10 @@ class CompiledStagePlan:
                 "stage sequence is outside the compiled vocabulary; "
                 "guard with stage_kinds()"
             )
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
         self.half = bool(half)
-        self.precision = precision
         self.panel_threads = _resolve_panel_threads(panel_threads)
         self.prefix = prefix
         self._ws = Workspace() if workspace is None else workspace
-        #: Relaxed-numerics engagements of the ulp tier: one record per
-        #: site (BN fold or blocked-GEMM formulation) the bit-equality
-        #: probe rejected but the ulp tier kept, with the probe's measured
-        #: max fp32-ulp deviation.  Always empty under ``precision="bit"``
-        #: — the plan verifier errors otherwise.
-        self.ulp_sites: list[dict] = []
         #: Per-GEMM-site execution stats (formulation, panel/thread counts)
         #: recorded by :meth:`_gemm` on each run — see :meth:`plan_stats`.
         self._gemm_stats: dict = {}
@@ -1396,18 +1176,12 @@ class CompiledStagePlan:
                         k for k in range(i + 1, len(self._ops))
                         if self._ops[k][0] != "identity"
                     )
-                    folded, reason, fold_ulp = _try_fold_bn_conv(
-                        op, self._ops[j][1], self.half, self.precision
+                    folded, reason = _try_fold_bn_conv(
+                        op, self._ops[j][1], self.half
                     )
                     if folded is not None:
                         self._ops[i] = ("identity", None)
                         self._ops[j] = (self._ops[j][0], folded)
-                        if fold_ulp:
-                            self.ulp_sites.append(
-                                {"site": "bn-fold", "stage": i,
-                                 "placement": "bnorm->conv",
-                                 "max_ulp": fold_ulp}
-                            )
                     self.bn_folds.append(
                         {"stage": i, "site": "bnorm->conv",
                          "folded": folded is not None, "reason": reason}
@@ -1424,18 +1198,12 @@ class CompiledStagePlan:
                     continue
                 bn1, bn2, bn3 = norms
                 if bn1 is not None:
-                    folded, reason, fold_ulp = _try_fold_bn_conv(
-                        bn1, specs[1], self.half, self.precision
+                    folded, reason = _try_fold_bn_conv(
+                        bn1, specs[1], self.half
                     )
                     if folded is not None:
                         specs = specs[:1] + (folded,) + specs[2:]
                         bn1 = None
-                        if fold_ulp:
-                            self.ulp_sites.append(
-                                {"site": "bn-fold", "stage": i,
-                                 "placement": "norm1->inner-conv",
-                                 "max_ulp": fold_ulp}
-                            )
                     self.bn_folds.append(
                         {"stage": i, "site": "norm1->inner-conv",
                          "folded": folded is not None, "reason": reason}
@@ -1488,8 +1256,8 @@ class CompiledStagePlan:
         Returns a plain-dict observability record: per-stage kind counts,
         BN fold decisions, per-GEMM-site formulation/panel/thread stats (as
         recorded by the most recent :meth:`run` — empty until a run has
-        happened, since panel counts depend on the batch geometry),
-        ulp-tier engagements, and the workspace footprint.  Printed by
+        happened, since panel counts depend on the batch geometry) and the
+        workspace footprint.  Printed by
         ``repro-tpc analyze --stats``.
         """
 
@@ -1497,7 +1265,6 @@ class CompiledStagePlan:
         for kind, _op in self._ops:
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
         return {
-            "precision": self.precision,
             "half": self.half,
             "panel_threads": self.panel_threads,
             "stage_kinds": kind_counts,
@@ -1510,7 +1277,6 @@ class CompiledStagePlan:
                 repr(k): dict(v)
                 for k, v in sorted(self._gemm_stats.items(), key=repr)
             },
-            "ulp_sites": [dict(s) for s in self.ulp_sites],
             "workspace_bytes": self.workspace_bytes,
         }
 
@@ -1690,20 +1456,12 @@ class CompiledStagePlan:
             def cm_t(arr, n=n, out_spatial=out_spatial):
                 return arr.reshape((arr.shape[0], n) + out_spatial)
 
-            u32, u16 = _blocked_gemm_ulp(n, rows, K, o, P)
-            # The fp16 metric only governs when the fused epilogue actually
-            # snaps this GEMM's output onto the fp16 grid; otherwise the
-            # raw fp32 values flow downstream and the fp32 metric applies.
-            u = u16 if (self.half and epilogue_bound is not None) else u32
-            if u32 == 0 or (self.precision == "ulp" and u <= ULP_TIER_MAX_ULP):
-                if u:
-                    self._note_ulp_site(key, "blocked-gemm", u)
+            if _blocked_gemm_matches(n, rows, K, o, P):
                 y2 = self._blocked_gemm(key, spec, canvas, out_spatial, P,
                                         epilogue_bound)
                 self._gemm_stats[key] = {
                     "formulation": "blocked", "m": m, "K": K, "o": o,
                     "opad": 0, "panels": n_panels, "threads": T,
-                    "max_ulp": int(u),
                 }
                 return y2, out_spatial, cm_t, True
             opad = (_blocked_pad_gemm_matches(n, rows, K, o, P)
@@ -1714,7 +1472,6 @@ class CompiledStagePlan:
                 self._gemm_stats[key] = {
                     "formulation": "blocked_pad", "m": m, "K": K, "o": o,
                     "opad": opad, "panels": n_panels, "threads": T,
-                    "max_ulp": 0,
                 }
                 return y2, out_spatial, cm_t, True
             if _blocked_ref_gemm_matches(n, rows, K, o, P):
@@ -1723,7 +1480,6 @@ class CompiledStagePlan:
                 self._gemm_stats[key] = {
                     "formulation": "blocked_ref", "m": m, "K": K, "o": o,
                     "opad": 0, "panels": n_panels, "threads": T,
-                    "max_ulp": 0,
                 }
 
                 def cm(arr, n=n, out_spatial=out_spatial, nd=nd):
@@ -1736,7 +1492,7 @@ class CompiledStagePlan:
         if _transposed_gemm_matches(n, rows, K, o):
             self._gemm_stats[key] = {
                 "formulation": "transposed", "m": m, "K": K, "o": o,
-                "opad": 0, "panels": 1, "threads": 1, "max_ulp": 0,
+                "opad": 0, "panels": 1, "threads": 1,
             }
             atT = self._ws.get((key, "atT"), (K, m))
             cached = self._wins.get(key)
@@ -1762,7 +1518,7 @@ class CompiledStagePlan:
         else:
             self._gemm_stats[key] = {
                 "formulation": "reference", "m": m, "K": K, "o": o,
-                "opad": 0, "panels": 1, "threads": 1, "max_ulp": 0,
+                "opad": 0, "panels": 1, "threads": 1,
             }
             at = self._ws.get((key, "at"), (m, K))
             cached = self._wins.get(key)
@@ -1794,16 +1550,6 @@ class CompiledStagePlan:
         return y2, out_spatial, cm, False
 
     # ------------------------------------------------------------------
-    def _note_ulp_site(self, key, site: str, max_ulp: int) -> None:
-        """Record one ulp-tier engagement (idempotent per (key, site))."""
-
-        for rec in self.ulp_sites:
-            if rec.get("key") == key and rec["site"] == site:
-                return
-        self.ulp_sites.append(
-            {"site": site, "key": key, "max_ulp": int(max_ulp)}
-        )
-
     def _panel_pool(self, workers: int) -> concurrent.futures.ThreadPoolExecutor:
         """The plan's shared panel executor, (re)built for ≥ ``workers``."""
 
@@ -2543,7 +2289,7 @@ class CompiledStagePlan:
                 (key, 2), skip_spec, canvas, spatial, bound
             )
             # The merge reproduces x·where(x>0, 1, slope) bit for bit in
-            # both precision modes (positives keep their exact value).
+            # fp16 and fp32 modes (positives keep their exact value).
             l3 = self._leaky_merge((key, "a3"), v3, s3, b3, requantize=False)
             b_l3 = b3 if self.half else 0.0
             if bn3 is not None:

@@ -81,8 +81,9 @@ drained) plus slab-ring occupancy and fault totals —
 in-flight units and releases every slab.
 
 Output bytes are identical to serial single-call compress/decompress in
-every configuration — batching, pooling, async ingestion, the slab
-transport and crash recovery are all free correctness-wise.
+every configuration.  Every pooled compressor compiles the one bit-exact
+fast-path tier, so batching, pooling, async ingestion, the slab transport
+and crash recovery are all free correctness-wise.
 """
 
 from .batcher import AsyncMicroBatcher, MicroBatch, MicroBatcher

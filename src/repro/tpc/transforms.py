@@ -41,10 +41,14 @@ def log_transform(adc: np.ndarray) -> np.ndarray:
 
 
 def inverse_log_transform(logv: np.ndarray) -> np.ndarray:
-    """Back to integer ADC counts: ``round(2^v - 1)`` clipped to 10 bits."""
+    """Back to integer ADC counts: ``round(2^v - 1)`` clipped to 10 bits.
 
-    adc = np.rint(np.exp2(logv.astype(np.float64)) - 1.0)
-    return np.clip(adc, 0, 1023).astype(np.uint16)
+    The clip happens in the log domain, to ``[0, LOG_MAX]``, so ``exp2``
+    never overflows; NaN maps to 0.
+    """
+
+    v = np.nan_to_num(np.asarray(logv, dtype=np.float64), nan=0.0)
+    return np.rint(np.exp2(np.clip(v, 0.0, LOG_MAX)) - 1.0).astype(np.uint16)
 
 
 def padded_length(length: int, multiple: int = 8) -> int:

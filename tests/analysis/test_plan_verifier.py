@@ -150,60 +150,3 @@ class TestCorruptedPlans:
         rec = verify_plan(plan, 2 ** (2 * 2), (4, 4), FP16_MAX,
                           label="t.seg")
         assert any(d.rule == "PV105" for d in _errors(rec))
-
-
-class TestUlpLedger:
-    """PV050–PV052: the relaxed-numerics ledger rules."""
-
-    def test_bit_plan_with_sites_is_error(self):
-        """A bit-tier plan carrying ulp sites means a probe-rejected
-        formulation ran without the opt-in — hard error."""
-
-        enc = _encoder_2d()
-        enc.plan.ulp_sites.append(
-            {"site": "blocked-gemm", "key": ("x",), "max_ulp": 1})
-        rec = _verify_2d(enc)
-        assert not rec["ok"]
-        assert any(d.rule == "PV050" for d in _errors(rec))
-
-    def test_over_cap_site_is_error(self):
-        """Even on an ulp-tier plan, a recorded bound above the tier cap
-        means the compile-time gate is broken."""
-
-        from repro.core.fast_plan import ULP_TIER_MAX_ULP
-
-        model = build_model("bcae_2d", wedge_spatial=WEDGE, seed=0,
-                            m=2, n=2, d=2)
-        model.eval()
-        enc = make_fast_encoder(model, precision="ulp")
-        enc.plan.ulp_sites.append(
-            {"site": "bn-fold", "stage": 1, "placement": "bnorm->conv",
-             "max_ulp": ULP_TIER_MAX_ULP + 1})
-        rec = _verify_2d(enc)
-        assert not rec["ok"]
-        assert any(d.rule == "PV051" for d in _errors(rec))
-
-    def test_bounded_sites_info_and_summary(self):
-        """Well-bounded sites on an ulp plan verify clean, surface as
-        PV052 info diagnostics, and land in the record's ulp summary."""
-
-        model = build_model("bcae_2d", wedge_spatial=WEDGE, seed=0,
-                            m=2, n=2, d=2)
-        model.eval()
-        enc = make_fast_encoder(model, precision="ulp")
-        enc.plan.ulp_sites.append(
-            {"site": "blocked-gemm", "key": ("k",), "max_ulp": 1})
-        rec = _verify_2d(enc)
-        assert rec["ok"]
-        infos = [d for d in rec["diagnostic_objects"] if d.rule == "PV052"]
-        assert len(infos) == 1
-        assert rec["ulp"]["precision"] == "ulp"
-        assert rec["ulp"]["max_ulp"] == 1
-        assert rec["ulp"]["sites"]
-
-    def test_clean_bit_plan_summary_empty(self):
-        rec = _verify_2d(_encoder_2d())
-        assert rec["ok"]
-        assert rec["ulp"] == {"precision": "bit", "sites": [],
-                              "max_ulp": 0,
-                              "cap": rec["ulp"]["cap"]}

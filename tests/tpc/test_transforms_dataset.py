@@ -1,5 +1,7 @@
 """Value/shape transforms and the wedge dataset pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,20 @@ class TestLogTransform:
     def test_roundtrip_exact_on_integers(self, values):
         adc = np.array(values, dtype=np.uint16)
         np.testing.assert_array_equal(inverse_log_transform(log_transform(adc)), adc)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inverse_out_of_range_and_nan(self, dtype):
+        """Out-of-range inputs saturate to 0/1023 and NaN maps to 0, with
+        no floating-point warning (no exp2 overflow, no NaN cast)."""
+
+        logv = np.array([-np.inf, -1.0, 0.0, LOG_EDGE, 10.0, 10.5, 1e30,
+                         np.inf, np.nan], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = inverse_log_transform(logv)
+        assert got.dtype == np.uint16
+        np.testing.assert_array_equal(
+            got, [0, 0, 0, 64, 1023, 1023, 1023, 1023, 0])
 
     def test_labels(self):
         logv = np.array([0.0, 6.5, 0.0], dtype=np.float32)
