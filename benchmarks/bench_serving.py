@@ -1,29 +1,24 @@
-"""Serving bench — the micro-batched service, and the process hand-off.
+"""Serving bench — the micro-batched service, fault recovery and gateways.
 
 The paper's deployment argument (§1, §3.2) is throughput under a wall-clock
 budget: the encoder must keep up with streaming readout.  This bench
-measures three slices of the serving system:
+measures four slices of the serving system:
 
 1. **service vs serial** — :class:`repro.serve.StreamingCompressionService`
    (micro-batching + persistent fast-path workspaces + optional pool)
    against the naive loop a non-serving user would write, one
    ``BCAECompressor.compress`` call per wedge;
-2. **process hand-off** — the shared-memory slab transport against the
-   pickle transport on **paper-scale payloads**, measured through
-   :class:`repro.serve.HandoffProbeService` (the pool engine with the model
-   call replaced by a checksum) so the comparison isolates what actually
-   changed: serialization and copies per unit.  End-to-end numbers with a
-   real encoder are reported alongside for context — there, model compute
-   (hundreds of ms/unit on CPU) dominates both transports equally;
-3. **fault recovery** — the supervised process backend with every N-th
-   unit SIGKILLing its own worker (``fail_attempts=1``, so each retry
-   succeeds) against the same stream fault-free: the gap is pure
-   recovery overhead — pool rebuild, slab-ring quarantine, serial
-   re-drive of the in-flight window, and the charged retry;
-4. **async gateway** — the asyncio ingestion path on a wall-clock-paced
+2. **fault recovery** — the supervised process backend, measured through
+   :class:`repro.serve.HandoffProbeService` (the pool engine with the
+   model call replaced by a checksum), with every N-th unit SIGKILLing
+   its own worker (``fail_attempts=1``, so each retry succeeds) against
+   the same stream fault-free: the gap is pure recovery overhead — pool
+   rebuild, serial re-drive of the in-flight window, and the charged
+   retry;
+3. **async gateway** — the asyncio ingestion path on a wall-clock-paced
    replay: byte parity with the serial path plus batch-latency percentiles
    under the monotonic deadline budget;
-5. **sharded gateway** — N socket producers against the multi-shard
+4. **sharded gateway** — N socket producers against the multi-shard
    :class:`repro.serve.ServingGateway`: aggregate throughput at 1 vs 4
    shards, every response frame byte-identical to the inline per-wedge
    codes.
@@ -32,9 +27,8 @@ Acceptance gates:
 
 * service ≥ 2× serial wedges/s on the deep Figure-6E/7 encoder, payloads
   byte-identical (as before);
-* shm hand-off ≥ 1.5× the pickle hand-off on paper-scale payloads;
-* fault recovery: all checksums correct, zero leaked slabs, and the
-  degraded run ≥ 0.5× fault-free throughput;
+* fault recovery: all checksums correct and the degraded run ≥ 0.5×
+  fault-free throughput;
 * async gateway payloads byte-identical to the serial path;
 * sharded gateway: response frames byte-identical under every shard
   count, and (full mode, multi-core) ≥ 1.5× aggregate throughput going
@@ -48,6 +42,10 @@ under pytest (tier-2 bench suite) and as a script::
 
 ``--smoke`` shrinks streams and relaxes the speed gates (CI exercises the
 wiring on busy shared runners; the 2×/1.5× claims are the bench's).
+Older runs in ``BENCH_serving.json`` also carry ``process_handoff`` and
+``process_end_to_end_paper_scale`` sections: a shared-memory slab
+transport measured against pickling, since deleted (it did not win end to
+end).
 """
 
 import argparse
@@ -61,8 +59,7 @@ import numpy as np
 
 _N_WEDGES = 48
 _REPEATS = 3
-_HANDOFF_UNITS = 24
-_HANDOFF_SHAPE = (4, 16, 192, 249)  # paper-geometry wedge batches, uint16
+_FAULT_UNITS = 24
 #: Trajectory depth: runs kept in BENCH_serving.json before the oldest drop.
 _MAX_RUNS = 20
 
@@ -159,133 +156,19 @@ def service_section(wedges, repeats=_REPEATS):
 
 
 # ----------------------------------------------------------------------
-# section 2: process hand-off — shm slabs vs pickle, paper-scale payloads
+# section 2: fault recovery — SIGKILLed workers vs a fault-free run
 # ----------------------------------------------------------------------
 
-def handoff_section(n_units=_HANDOFF_UNITS, unit_shape=_HANDOFF_SHAPE,
-                    repeats=_REPEATS):
-    """Time the process-boundary round trip of paper-scale payload units.
-
-    The probe worker touches every input byte and acks with a float, so
-    per-unit cost is transport + checksum on both sides; the transports
-    differ only in how the bytes cross.  Units are uint16 wedge batches of
-    ``unit_shape`` (~6 MiB each at the paper geometry defaults).
-    """
-
-    from repro.serve import HandoffProbeService, ServiceConfig
-
-    rng = np.random.default_rng(3)
-    arrays = [
-        rng.integers(0, 1024, size=unit_shape).astype(np.uint16)
-        for _ in range(n_units)
-    ]
-    unit_mb = arrays[0].nbytes / (1 << 20)
-    expected = [float(a.sum(dtype=np.float64)) for a in arrays]
-
-    services = {
-        "shm": HandoffProbeService(ServiceConfig(
-            workers=1, backend="process", inflight=4,
-            shm_slab_mb=max(16.0, unit_mb + 1),
-        )),
-        "pickle": HandoffProbeService(ServiceConfig(
-            workers=1, backend="process", inflight=4, transport="pickle",
-        )),
-    }
-
-    rows = {}
-    for label, probe in services.items():
-        results, stats = probe.run(arrays, keep_results=True)  # warm + verify
-        assert results == expected, f"{label} checksum mismatch"
-        assert all(r.transport == label for r in stats.records), (
-            f"{label}: units crossed as "
-            f"{sorted({r.transport for r in stats.records})}"
-        )
-        rows[label] = {"correct": True}
-
-    shm_s, pickle_s = _best_of_interleaved(
-        [
-            lambda: services["shm"].run(arrays),
-            lambda: services["pickle"].run(arrays),
-        ],
-        repeats,
-    )
-    rows["shm"].update(units_per_second=n_units / shm_s, seconds=shm_s)
-    rows["pickle"].update(units_per_second=n_units / pickle_s, seconds=pickle_s)
-    return {
-        "section": "process_handoff",
-        "n_units": n_units,
-        "unit_shape": list(unit_shape),
-        "unit_mb": unit_mb,
-        "shm": rows["shm"],
-        "pickle": rows["pickle"],
-        "speedup_shm_vs_pickle": pickle_s / shm_s,
-    }
-
-
-def handoff_end_to_end_section(n_wedges=8, repeats=1):
-    """Context row: a *real* paper-scale encoder through both transports.
-
-    Model compute dominates per unit on CPU, so this is not the gate —
-    it shows the shm win is free even when amortized against real work,
-    and proves bit-identity at paper scale.
-    """
-
-    from repro.core import BCAECompressor, build_model
-    from repro.serve import ServiceConfig, StreamingCompressionService
-    from repro.tpc import PAPER_GEOMETRY, generate_wedge_stream
-
-    wedges = generate_wedge_stream(n_wedges, geometry=PAPER_GEOMETRY, seed=7)
-    model = build_model("bcae_2d", wedge_spatial=wedges.shape[1:], seed=0,
-                        m=1, n=1, d=1)
-    reference = b"".join(BCAECompressor(model).compress(w).payload
-                         for w in wedges)
-
-    rows = {}
-    services = {}
-    for transport in ("shm", "pickle"):
-        service = StreamingCompressionService(model, ServiceConfig(
-            max_batch=4, workers=1, backend="process", inflight=4,
-            transport=transport, shm_slab_mb=32.0,
-        ))
-        payloads, _ = service.run(wedges)
-        rows[transport] = {
-            "bit_identical": b"".join(bytes(p.payload) for p in payloads)
-            == reference,
-        }
-        services[transport] = service
-    shm_s, pickle_s = _best_of_interleaved(
-        [
-            lambda: services["shm"].run(wedges, keep_payloads=False),
-            lambda: services["pickle"].run(wedges, keep_payloads=False),
-        ],
-        repeats,
-    )
-    rows["shm"]["wedges_per_second"] = n_wedges / shm_s
-    rows["pickle"]["wedges_per_second"] = n_wedges / pickle_s
-    return {
-        "section": "process_end_to_end_paper_scale",
-        "n_wedges": n_wedges,
-        "wedge_shape": list(wedges.shape[1:]),
-        "shm": rows["shm"],
-        "pickle": rows["pickle"],
-        "speedup_shm_vs_pickle": pickle_s / shm_s,
-    }
-
-
-# ----------------------------------------------------------------------
-# section 3: fault recovery — SIGKILLed workers vs a fault-free run
-# ----------------------------------------------------------------------
-
-def fault_recovery_section(n_units=_HANDOFF_UNITS, unit_shape=(4, 16, 96, 128),
+def fault_recovery_section(n_units=_FAULT_UNITS, unit_shape=(4, 16, 96, 128),
                            kill_every=6, repeats=_REPEATS):
     """Cost of surviving worker crashes: kill every ``kill_every``-th unit.
 
-    The probe service runs on the process backend over the shm slab ring
-    with ``max_retries=2``; the injected units SIGKILL their worker on the
-    first attempt only (``fail_attempts=1``), so every stream completes
-    with correct checksums — the measured gap between the fault-free and
-    degraded runs is pure recovery overhead: pool rebuild + ring
-    quarantine + serial re-drive of the in-flight window + the retry.
+    The probe service runs on the process backend with ``max_retries=2``;
+    the injected units SIGKILL their worker on the first attempt only
+    (``fail_attempts=1``), so every stream completes with correct
+    checksums — the measured gap between the fault-free and degraded runs
+    is pure recovery overhead: pool rebuild + serial re-drive of the
+    in-flight window + the retry.
     """
 
     from repro.serve import HandoffProbeService, ServiceConfig
@@ -302,7 +185,6 @@ def fault_recovery_section(n_units=_HANDOFF_UNITS, unit_shape=(4, 16, 96, 128),
 
     probe = HandoffProbeService(ServiceConfig(
         workers=1, backend="process", inflight=4,
-        shm_slab_mb=max(16.0, unit_mb + 1),
         max_retries=2, backoff_base_s=0.0,
         degrade_after=len(kill_seqs) + 1,  # stay on the process ladder rung
     ))
@@ -316,13 +198,11 @@ def fault_recovery_section(n_units=_HANDOFF_UNITS, unit_shape=(4, 16, 96, 128),
         return probe.run(items, keep_results=True)
 
     # Correctness under fire, once, before timing: every checksum right,
-    # every crash charged to an injected unit, zero slabs leaked.
+    # every crash charged to an injected unit.
     results, stats = degraded()
     assert results == expected, "degraded run checksum mismatch"
     assert stats.faults.crashes >= len(kill_seqs)
     assert stats.faults.failures == 0
-    assert probe.last_shm["leased_at_close"] == 0, "leaked slabs after crash"
-    ring_rebuilds = probe.last_shm.get("ring_rebuilds", 0)
 
     healthy_s, degraded_s = _best_of_interleaved([healthy, degraded], repeats)
     return {
@@ -331,18 +211,16 @@ def fault_recovery_section(n_units=_HANDOFF_UNITS, unit_shape=(4, 16, 96, 128),
         "unit_mb": unit_mb,
         "kill_every": kill_every,
         "n_kills": len(kill_seqs),
-        "ring_rebuilds": ring_rebuilds,
         "healthy": {"units_per_second": n_units / healthy_s,
                     "seconds": healthy_s},
         "degraded": {"units_per_second": n_units / degraded_s,
-                     "seconds": degraded_s, "correct": True,
-                     "leaked_slabs": 0},
+                     "seconds": degraded_s, "correct": True},
         "throughput_ratio_degraded_vs_healthy": healthy_s / degraded_s,
     }
 
 
 # ----------------------------------------------------------------------
-# section 4: async ingestion gateway on a wall-clock-paced replay
+# section 3: async ingestion gateway on a wall-clock-paced replay
 # ----------------------------------------------------------------------
 
 def async_section(n_wedges=30, budget_s=2e-3):
@@ -385,7 +263,7 @@ def async_section(n_wedges=30, budget_s=2e-3):
 
 
 # ----------------------------------------------------------------------
-# section 5: multi-producer sharded gateway — aggregate scaling
+# section 4: multi-producer sharded gateway — aggregate scaling
 # ----------------------------------------------------------------------
 
 def _run_gateway_once(model, wedges, producers, shards, reference):
@@ -536,41 +414,18 @@ def _service_lines(section):
                    f"{'identical' if row['bit_identical'] else 'MISMATCH'}")
 
 
-def _handoff_lines(section):
-    yield ""
-    yield ("Process hand-off — shm slab ring vs pickle, paper-scale payloads "
-           f"({section['unit_mb']:.1f} MiB x {section['n_units']} units)")
-    for label in ("pickle", "shm"):
-        row = section[label]
-        yield (f"  {label:6s}: {row['units_per_second']:7.1f} units/s "
-               f"({row['units_per_second'] * section['unit_mb']:7.0f} MiB/s)")
-    yield f"  shm speedup: {section['speedup_shm_vs_pickle']:.2f}x"
-
-
-def _end_to_end_lines(section):
-    yield ""
-    yield ("Process end-to-end — real paper-scale encoder through both "
-           "transports (compute-dominated; context, not the gate)")
-    for label in ("pickle", "shm"):
-        row = section[label]
-        yield (f"  {label:6s}: {row['wedges_per_second']:7.2f} w/s  payloads "
-               f"{'identical' if row['bit_identical'] else 'MISMATCH'}")
-    yield f"  shm speedup: {section['speedup_shm_vs_pickle']:.2f}x"
-
-
 def _fault_lines(section):
     yield ""
     yield ("Fault recovery — SIGKILL every "
            f"{section['kill_every']}th unit's worker vs fault-free "
            f"({section['unit_mb']:.1f} MiB x {section['n_units']} units, "
-           f"{section['n_kills']} kills, "
-           f"{section['ring_rebuilds']} ring rebuild(s))")
+           f"{section['n_kills']} kills)")
     for label in ("healthy", "degraded"):
         row = section[label]
         yield (f"  {label:8s}: {row['units_per_second']:7.1f} units/s")
     yield (f"  degraded throughput: "
            f"{section['throughput_ratio_degraded_vs_healthy']:.2f}x "
-           "fault-free; checksums correct, zero leaked slabs")
+           "fault-free; checksums correct")
 
 
 def _async_lines(section):
@@ -624,25 +479,6 @@ def test_serving_speedup_and_parity(benchmark):
     assert best_d >= 1.5
 
 
-def test_handoff_shm_beats_pickle(benchmark):
-    from conftest import report
-
-    results = {}
-
-    def measure_all():
-        results["r"] = handoff_section()
-        return results
-
-    benchmark.pedantic(measure_all, rounds=1, iterations=1)
-    section = results["r"]
-    for line in _handoff_lines(section):
-        report(line)
-    # Acceptance: shm hand-off >= 1.5x pickle on paper-scale payloads.
-    assert section["speedup_shm_vs_pickle"] >= 1.5, (
-        f"shm only {section['speedup_shm_vs_pickle']:.2f}x pickle"
-    )
-
-
 def test_fault_recovery_throughput(benchmark):
     from conftest import report
 
@@ -657,8 +493,8 @@ def test_fault_recovery_throughput(benchmark):
     section = results["r"]
     for line in _fault_lines(section):
         report(line)
-    # Correctness (checksums, crash attribution, zero leaked slabs) is
-    # asserted inside the section; the tier-2 gate bounds the overhead.
+    # Correctness (checksums, crash attribution) is asserted inside the
+    # section; the tier-2 gate bounds the overhead.
     assert section["degraded"]["correct"]
     assert section["throughput_ratio_degraded_vs_healthy"] >= 0.3
 
@@ -732,10 +568,6 @@ def main(argv=None) -> int:
 
     repeats = 1 if args.smoke else _REPEATS
     service_gate = 1.1 if args.smoke else 2.0
-    # Smoke checks the hand-off *wiring* (checksums + transport labels are
-    # asserted inside handoff_section); a relative speed gate on one
-    # repeat of six units would be CI noise, so it's full-mode only.
-    handoff_gate = None if args.smoke else 1.5
 
     wedges = _stream(n=16 if args.smoke else _N_WEDGES)
     sections = []
@@ -758,33 +590,8 @@ def main(argv=None) -> int:
     else:
         print(f"OK: service {best:.2f}x serial (gate {service_gate}x)")
 
-    section = handoff_section(
-        n_units=6 if args.smoke else _HANDOFF_UNITS, repeats=repeats
-    )
-    sections.append(section)
-    for line in _handoff_lines(section):
-        print(line)
-    speedup = section["speedup_shm_vs_pickle"]
-    if handoff_gate is None:
-        print(f"OK: shm hand-off wiring verified ({speedup:.2f}x pickle; "
-              "speed gate is full-mode only)")
-    elif speedup < handoff_gate:
-        print(f"FAIL: shm hand-off {speedup:.2f}x < gate {handoff_gate}x")
-        failed = True
-    else:
-        print(f"OK: shm hand-off {speedup:.2f}x pickle (gate {handoff_gate}x)")
-
-    if not args.smoke:
-        section = handoff_end_to_end_section()
-        sections.append(section)
-        for line in _end_to_end_lines(section):
-            print(line)
-        if not all(section[t]["bit_identical"] for t in ("shm", "pickle")):
-            print("FAIL: end-to-end paper-scale payload mismatch")
-            failed = True
-
     section = fault_recovery_section(
-        n_units=8 if args.smoke else _HANDOFF_UNITS,
+        n_units=8 if args.smoke else _FAULT_UNITS,
         kill_every=4 if args.smoke else 6,
         repeats=repeats,
     )
@@ -792,9 +599,9 @@ def main(argv=None) -> int:
     for line in _fault_lines(section):
         print(line)
     ratio = section["throughput_ratio_degraded_vs_healthy"]
-    # Correctness (checksums, crash attribution, zero leaked slabs) is
-    # asserted inside the section; smoke checks the wiring only — a
-    # relative gate on one repeat of eight units would be CI noise.
+    # Correctness (checksums, crash attribution) is asserted inside the
+    # section; smoke checks the wiring only — a relative gate on one
+    # repeat of eight units would be CI noise.
     fault_gate = None if args.smoke else 0.5
     if fault_gate is None:
         print(f"OK: fault recovery wiring verified ({ratio:.2f}x fault-free; "

@@ -14,8 +14,8 @@ would sit behind a live feed:
    event loop keeps ingesting — ordered, bounded in-flight emission;
 4. payload bytes are verified identical to the serial path.
 
-With ``--backend process`` the payloads cross the worker boundary through
-the shared-memory slab ring (see ``ServiceConfig.transport``).
+With ``--backend process`` work units and payloads cross the worker
+boundary by pickle; each worker process builds its own compressor once.
 
 Usage::
 
@@ -81,8 +81,6 @@ async def serve(args, model, wedges) -> None:
     print(f"  payloads vs serial path: {'identical' if same else 'MISMATCH'}")
     print(f"  batch close reasons: {dict(closed_by)}")
     print(f"  batch latency (wait+compute): {stats.batch_latency().row()}")
-    if service.last_shm:
-        print(f"  process hand-off: {service.last_shm}")
     if not same:
         raise SystemExit(1)
 

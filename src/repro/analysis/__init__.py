@@ -8,8 +8,8 @@ Three passes plus an API audit, one diagnostic currency, one CI ratchet:
   re-derivation); results attach to the plan as ``plan.verification``.
 * :mod:`~repro.analysis.hotpath_lint` — AST lint flagging per-iteration
   allocations inside the hot loops of ``core/fast_*.py`` / ``serve/*.py``.
-* :mod:`~repro.analysis.concurrency_lint` — slab-ring lease/release
-  discipline and no-blocking-calls-in-async checks over the serving stack.
+* :mod:`~repro.analysis.concurrency_lint` — no-blocking-calls-in-async and
+  unbounded pool-future wait checks over the serving stack.
 * :mod:`~repro.analysis.api_lint` — ``__all__`` consistency and
   cross-module privacy audit.
 

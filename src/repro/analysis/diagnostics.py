@@ -13,7 +13,7 @@ baseline (``tools/analyze.py --write-baseline``).
 Severity semantics
 ------------------
 ``error``
-    A legality violation — a corrupted plan, an unbalanced slab lease.
+    A legality violation — a corrupted plan, a blocking call in async code.
 ``warning``
     A finding worth ratcheting down — a hot-loop allocation, a private
     cross-module import.  Gates through the baseline like ``error``.
@@ -57,7 +57,7 @@ class Diagnostic:
         Which pass produced it (``plan`` / ``hotpath`` / ``concurrency`` /
         ``api``).
     rule:
-        Stable rule id (``PV102``, ``HP001``, ``CL002``, ``AP001``).
+        Stable rule id (``PV102``, ``HP001``, ``CL010``, ``AP001``).
     severity:
         ``info`` | ``warning`` | ``error`` — see the module docstring.
     location:
@@ -70,7 +70,7 @@ class Diagnostic:
         One-sentence statement of the finding.
     token:
         Short source/operand token identifying the finding inside its
-        scope (``np.empty``, ``try_lease``, a spec field name).
+        scope (``np.empty``, ``time.sleep``, a spec field name).
     occurrence:
         Index among identical ``(rule, scope, token)`` findings, so two
         ``np.empty`` calls in one loop get distinct fingerprints.

@@ -20,10 +20,8 @@ from pathlib import Path
 
 from .concurrency_lint import (
     default_async_targets,
-    default_lease_targets,
     default_result_targets,
     lint_async_paths,
-    lint_lease_paths,
     lint_result_timeout_paths,
 )
 from .api_lint import audit_package
@@ -135,14 +133,11 @@ def run_analysis(passes=("plan", "hotpath", "concurrency", "api"),
         if extra:
             diags.extend(hotpath_lint_paths(extra))
     if "concurrency" in passes:
-        diags.extend(lint_lease_paths(default_lease_targets(root),
-                                      rel_to=root.parent))
         diags.extend(lint_async_paths(default_async_targets(root),
                                       rel_to=root.parent))
         diags.extend(lint_result_timeout_paths(default_result_targets(root),
                                                rel_to=root.parent))
         if extra:
-            diags.extend(lint_lease_paths(extra))
             diags.extend(lint_async_paths(extra))
             diags.extend(lint_result_timeout_paths(extra))
     if "api" in passes:

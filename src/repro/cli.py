@@ -95,16 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser(
         "serve", help="run the micro-batching compression service",
-        epilog="transport defaults per backend: --backend process moves "
-               "payloads through the shared-memory slab ring "
-               "(--transport shm; slabs are sized adaptively from the "
-               "first work unit unless --shm-slab-mb pins them, and "
-               "oversized units fall back to pickle per unit, counted as "
-               "shm_fallbacks), while the inline/thread backends hand "
-               "results off in memory and ignore --transport/"
-               "--shm-slab-mb entirely.  --gateway-port/--shards runs the "
-               "multi-producer sharded gateway front door instead of the "
-               "single in-process stream.",
+        epilog="--gateway-port/--shards runs the multi-producer sharded "
+               "gateway front door instead of the single in-process "
+               "stream.",
     )
     v.add_argument("--model", default="bcae_2d")
     v.add_argument("--scale", choices=_SCALES, default="tiny")
@@ -116,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=int, default=0,
                    help="worker pool size (0 = inline, best on one core)")
     v.add_argument("--backend", choices=("thread", "process"), default="thread")
-    v.add_argument("--transport", choices=("shm", "pickle"), default="shm",
-                   help="process-backend payload hand-off (default: shared-"
-                        "memory slab ring)")
-    v.add_argument("--shm-slab-mb", type=float, default=None,
-                   help="slab size [MiB] of the shm transport ring "
-                        "(default: adaptive — the ring is sized from the "
-                        "first work unit so real units fit)")
     v.add_argument("--shards", type=int, default=1,
                    help="number of ModelPoolService shards behind the "
                         "gateway (>1 implies gateway mode)")
@@ -200,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser(
         "decompress",
         help="decompress an io.codes archive (analysis side)",
-        epilog="transport defaults per backend: --backend process moves "
-               "payload batches and reconstructions through the shared-"
-               "memory slab ring (--transport shm, sized adaptively from "
-               "the first unit unless --shm-slab-mb pins it; oversized "
-               "units fall back to pickle per unit, counted as "
-               "shm_fallbacks), while the inline/thread backends hand "
-               "results off in memory and ignore --transport/"
-               "--shm-slab-mb entirely.",
     )
     x.add_argument("--archive", required=True, help="npz from `serve --archive`")
     x.add_argument("--out", default=None, help="write reconstructions to npz")
@@ -216,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--workers", type=int, default=0,
                    help="worker pool size (0 = inline)")
     x.add_argument("--backend", choices=("thread", "process"), default="thread")
-    x.add_argument("--transport", choices=("shm", "pickle"), default="shm",
-                   help="process-backend payload hand-off")
-    x.add_argument("--shm-slab-mb", type=float, default=None,
-                   help="slab size [MiB] of the shm transport ring "
-                        "(default: adaptive — sized from the first unit)")
     x.add_argument("--full", action="store_true", help="fp32 instead of fp16 inference")
     x.add_argument("--panel-threads", type=int, default=None,
                    help="intra-plan panel executor width (default: the "
@@ -238,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="static analysis: plan verifier + hot-path/concurrency lints",
         epilog="runs the plan verifier over all four Table-1 model plans "
-               "plus the hot-path allocation, lease-discipline, async-"
-               "blocking and public-API lints; with --baseline only NEW "
+               "plus the hot-path allocation, async-blocking, unbounded-"
+               "wait and public-API lints; with --baseline only NEW "
                "findings (vs tools/analysis_baseline.json) fail.",
     )
     z.add_argument("--json", action="store_true",
@@ -469,8 +442,6 @@ def _cmd_serve(args) -> int:
         max_delay_s=args.budget_ms / 1e3,
         workers=args.workers,
         backend=args.backend,
-        transport=args.transport,
-        shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
         panel_threads=args.panel_threads,
         unit_timeout_s=args.unit_timeout_s,
@@ -513,8 +484,6 @@ def _cmd_serve(args) -> int:
     print(stats.row())
     if args.use_async:
         print(f"batch latency (wait+compute): {stats.batch_latency().row()}")
-    if service.last_shm:
-        print(f"process hand-off: {service.last_shm}")
     if stats.n_batches:
         tr = stats.to_throughput_result()
         print(f"best batch: {tr.seconds_per_batch * 1e3:.2f} ms "
@@ -776,8 +745,6 @@ def _cmd_decompress(args) -> int:
         max_batch=args.batch,
         workers=args.workers,
         backend=args.backend,
-        transport=args.transport,
-        shm_slab_mb=args.shm_slab_mb,
         half=not args.full,
         panel_threads=args.panel_threads,
         # Mixed archives need the adaptive tier on the decode side too —

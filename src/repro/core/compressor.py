@@ -104,6 +104,19 @@ class CompressedWedges:
     decisions: tuple | None = None
 
     def __post_init__(self) -> None:
+        # Header fields come from archives too: reject values no encoder
+        # can produce before they reach slicing arithmetic at decode time.
+        if self.n_wedges < 0:
+            raise ValueError(f"n_wedges must be >= 0, got {self.n_wedges}")
+        if any(dim < 1 for dim in self.code_shape):
+            raise ValueError(
+                f"code_shape dims must be >= 1, got {tuple(self.code_shape)}"
+            )
+        if self.original_horizontal < 1:
+            raise ValueError(
+                "original_horizontal must be >= 1, got "
+                f"{self.original_horizontal}"
+            )
         if (self.codec_ids is None) != (self.record_sizes is None):
             raise ValueError(
                 "codec_ids and record_sizes must be given together "
@@ -170,8 +183,8 @@ class CompressedWedges:
                 "repro.rate.AdaptiveCompressor instead"
             )
         count = self.n_wedges * int(np.prod(self.code_shape))
-        # count= tolerates payload buffers larger than the codes (e.g. a
-        # caller-owned ring buffer passed to compress_into(out=...)).
+        # count= tolerates payloads longer than the codes: archives are
+        # only checked for truncation on load.
         arr = np.frombuffer(self.payload, dtype=np.dtype(self.code_dtype), count=count)
         arr = arr.reshape((self.n_wedges,) + tuple(self.code_shape))
         arr.flags.writeable = False  # frombuffer of a bytearray is writable
@@ -311,13 +324,12 @@ class BCAECompressor:
         np.log2(buf, out=buf)
         return buf
 
-    def compress_into(self, wedges: np.ndarray, out: bytearray | None = None) -> CompressedWedges:
+    def compress_into(self, wedges: np.ndarray) -> CompressedWedges:
         """Compress through persistent workspaces — the serving hot path.
 
         Byte-identical to :meth:`compress`; no im2col / padding / fp16-cast
-        reallocation on repeated same-shape calls.  ``out``, when given,
-        must be a writable buffer of at least the payload size; the payload
-        then aliases it (zero extra copy for callers that own ring buffers).
+        reallocation on repeated same-shape calls.  The payload is owned
+        bytes, safe to hand across threads while the workspaces are reused.
 
         One compressor instance's workspaces are not thread-safe — use one
         instance per worker (as :mod:`repro.serve` does).
@@ -347,16 +359,8 @@ class BCAECompressor:
             code16 = self._scratch.get("code16", code.data.shape, np.float16)
             np.copyto(code16, code.data, casting="unsafe")
 
-        if out is None:
-            payload: bytes | memoryview = code16.tobytes()
-        else:
-            view = np.frombuffer(out, dtype=np.float16, count=code16.size)
-            np.copyto(view.reshape(code16.shape), code16)
-            # Size the payload exactly (out may be a larger ring buffer);
-            # it still aliases the caller's memory — no extra copy.
-            payload = memoryview(out)[: code16.nbytes]
         return CompressedWedges(
-            payload=payload,
+            payload=code16.tobytes(),
             code_shape=code16.shape[1:],
             n_wedges=code16.shape[0],
             original_horizontal=horizontal,
@@ -404,7 +408,9 @@ class BCAECompressor:
         A payload produced in the other precision mode decodes *silently
         wrong* (the codes are valid fp16 either way); the recorded ``half``
         flag turns that into a loud error.  Legacy payloads (``half is
-        None``) are accepted unchecked.
+        None``) are accepted unchecked.  An ``original_horizontal`` wider
+        than the decoder's output cannot be an unpadded size, so it is
+        rejected instead of clipped to the full width.
         """
 
         if compressed.half is not None and bool(compressed.half) != self.half:
@@ -418,6 +424,16 @@ class BCAECompressor:
             raise ValueError(
                 f"unsupported code dtype {compressed.code_dtype!r}; "
                 "BCAE payloads store fp16 codes"
+            )
+        encoder = self.model.encoder
+        if hasattr(encoder, "spatial"):
+            extent = int(encoder.spatial[-1])
+        else:
+            extent = int(compressed.code_shape[-1]) * 2 ** encoder.d
+        if compressed.original_horizontal > extent:
+            raise ValueError(
+                f"original_horizontal {compressed.original_horizontal} is "
+                f"wider than the decoded horizontal extent {extent}"
             )
 
     def decompress(self, compressed: CompressedWedges) -> np.ndarray:

@@ -180,7 +180,7 @@ def _as_records(compressed: CompressedWedges) -> CompressedWedges:
     """Promote a legacy fixed-size batch to explicit per-wedge records.
 
     All-BCAE by definition (codec id 0, uniform record size); payload
-    bytes are reused as-is (trimmed of any ring-buffer overhang).  Mixed
+    bytes are reused as-is (trimmed of any bytes past the last record).  Mixed
     batches pass through unchanged.
     """
 

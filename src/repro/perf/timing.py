@@ -100,27 +100,22 @@ class FaultCounters:
         ``ServiceConfig.max_retries`` per unit).
     rebuilds:
         Executor teardown-and-rebuild cycles.
-    ring_rebuilds:
-        Shared-memory slab rings quarantined and recreated (a dead writer
-        may leave a slab mid-write, so the whole segment is replaced).
     degraded:
         Circuit-breaker backend step-downs (process → thread → inline).
     failures:
         Units whose error ultimately surfaced to the caller (retry budget
         exhausted or retry not legal).
     shm_fallbacks:
-        Units that silently degraded from the shared-memory slab transport
-        to per-unit pickling (payload larger than its slab, in either
-        direction).  Not a fault — the unit still succeeds — but a
-        throughput signal: a nonzero count under adaptive slab sizing
-        means the sizing arithmetic under-provisioned the ring.
+        Always 0.  Process workers receive units and return results by
+        pickle only, so nothing can fall back; the field stays because
+        the repository benchmark's per-layer metric
+        ``serve.service.shm_fallbacks`` reads it from :meth:`to_dict`.
     """
 
     crashes: int = 0
     timeouts: int = 0
     retries: int = 0
     rebuilds: int = 0
-    ring_rebuilds: int = 0
     degraded: int = 0
     failures: int = 0
     shm_fallbacks: int = 0
@@ -146,15 +141,11 @@ class FaultCounters:
     def row(self) -> str:
         """One-line summary for logs and benches."""
 
-        line = (
+        return (
             f"crashes={self.crashes} timeouts={self.timeouts} "
             f"retries={self.retries} rebuilds={self.rebuilds} "
-            f"ring_rebuilds={self.ring_rebuilds} degraded={self.degraded} "
-            f"failures={self.failures}"
+            f"degraded={self.degraded} failures={self.failures}"
         )
-        if self.shm_fallbacks:
-            line += f" shm_fallbacks={self.shm_fallbacks}"
-        return line
 
 
 @dataclasses.dataclass

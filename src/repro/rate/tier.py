@@ -3,8 +3,8 @@
 :class:`AdaptiveCompressor` presents the same serving surface as
 :class:`~repro.core.BCAECompressor` (``compress`` / ``compress_into`` /
 ``decompress`` / ``decompress_into`` / ``code_shape_for`` /
-``compression_ratio``) so the whole serving stack — worker pools, the shm
-transport, the gateway — hosts it unchanged.  Per batch it:
+``compression_ratio``) so the whole serving stack — worker pools, the
+process hand-off, the gateway — hosts it unchanged.  Per batch it:
 
 1. computes each wedge's occupancy/activity features and asks the
    :class:`~repro.rate.policy.OccupancyPolicy` for a codec (pure per-wedge
@@ -57,9 +57,6 @@ class AdaptiveCompressor:
         ids to codecs) but refuses to compress.
     """
 
-    #: Marker the serving layer uses to pick the variable-size shm path.
-    is_adaptive = True
-
     def __init__(self, inner: BCAECompressor,
                  policy: OccupancyPolicy | None = None) -> None:
         self.inner = inner
@@ -99,14 +96,11 @@ class AdaptiveCompressor:
 
         return self.compress_into(wedges)
 
-    def compress_into(self, wedges: np.ndarray,
-                      out: bytearray | None = None) -> CompressedWedges:
+    def compress_into(self, wedges: np.ndarray) -> CompressedWedges:
         """Route, compress and assemble one mixed-codec batch.
 
-        The returned payload is always owned bytes (records are
-        variable-size, so there is no pre-sizable ring-buffer contract to
-        honour); ``out``, when given, additionally receives a copy of the
-        payload prefix for callers that insist on their own buffer.
+        The returned payload is owned bytes, like
+        :meth:`BCAECompressor.compress_into`'s.
         """
 
         if self.policy is None:
@@ -157,12 +151,6 @@ class AdaptiveCompressor:
             for i in range(n)
         )
         blob = b"".join(records)
-        if out is not None:
-            if len(out) < len(blob):
-                raise ValueError(
-                    f"out buffer holds {len(out)} bytes, payload needs {len(blob)}"
-                )
-            out[:len(blob)] = blob
         return CompressedWedges(
             payload=blob,
             code_shape=tuple(code_shape),

@@ -9,7 +9,8 @@ each own a resident :class:`~repro.core.BCAECompressor` (compiled fast-path
 workspaces, never shared, no hot-path locks), fed work units in stream
 order through a bounded in-flight window, with per-batch latency statistics
 — hosted inline, on a thread pool, or on a GIL-sidestepping process pool
-(``ServiceConfig.backend``).
+(``ServiceConfig.backend``) whose workers each build their compressor once
+and receive work units and return results by pickle.
 
 The two instantiations:
 
@@ -34,21 +35,6 @@ them, :class:`~repro.serve.service.AsyncServingSession` is the raw façade:
 there and nowhere else), results emit in submission order through the same
 bounded in-flight window, and early close drains in-flight work cleanly.
 
-**Shared-memory hand-off.**  With ``ServiceConfig.backend="process"``, the
-default ``transport="shm"`` moves payloads through a ring of pre-sized
-:mod:`multiprocessing.shared_memory` slabs (:mod:`repro.serve.shm`): the
-parent leases a slab and memcpys the unit in, the worker reads it in place
-and writes its result back into the *same* slab, and only tiny descriptors
-(slab index + dtype/shape headers) are ever pickled.  Slab size is
-**adaptive by default** (``shm_slab_mb=None``): the ring is created lazily
-from the first work unit, sized from the service's own arithmetic (input
-*and* result at ``max_batch``, via ``code_shape_for``), so real units fit.
-Units larger than a slab still degrade per-unit to the ``"pickle"``
-transport, but no longer silently: the degradations are counted as
-``FaultCounters.shm_fallbacks`` on the stream's stats and health totals.
-Slabs are released on emission, on worker exception, and at stream close
-(the segment is unlinked; ``service.last_shm`` records the counters).
-
 **Gateway & sharding.**  :class:`~repro.serve.gateway.ServingGateway` is
 the multi-producer front door: ``asyncio.start_server`` accepts N
 concurrent clients speaking the length-prefixed wedge-frame format
@@ -57,15 +43,15 @@ session is micro-batched under the wall-clock budget, and a
 :class:`~repro.serve.gateway.StreamRouter` shards sessions across multiple
 ``ModelPoolService`` instances — health-aware placement, per-shard
 backpressure with spill to the least-loaded shard, shard eviction with
-per-session (never global) failure, and one slab ring per shard leased
-across sessions.  :class:`~repro.serve.gateway.GatewayStats` /
+per-session (never global) failure, and one long-lived supervised stream
+per shard.  :class:`~repro.serve.gateway.GatewayStats` /
 :class:`~repro.serve.gateway.GatewayHealth` aggregate the per-service
 supervision currencies across shards; ``repro-tpc serve --shards N
 --gateway-port P`` runs it from the CLI.
 
 **Supervision and fault tolerance.**  Serving is supervised: a worker
-process death (SIGKILL/OOM) is detected, the pool is rebuilt and the slab
-ring quarantined, and the failure surfaces only on the owning unit — or
+process death (SIGKILL/OOM) is detected, the pool is rebuilt, and the
+failure surfaces only on the owning unit — or
 the unit succeeds transparently via the bounded retry/backoff policy
 (``ServiceConfig.unit_timeout_s`` / ``max_retries`` / ``backoff_base_s``).
 After ``degrade_after`` consecutive crashes a circuit breaker steps the
@@ -74,16 +60,16 @@ effective backend down process → thread → inline instead of dying
 :exc:`~repro.serve.service.UnitTimeoutError` once budgets are spent).
 :meth:`~repro.serve.service.ModelPoolService.health` reports the
 supervision state machine (healthy → retrying → rebuilding → degraded →
-drained) plus slab-ring occupancy and fault totals —
+drained) plus fault totals —
 :func:`~repro.serve.service.start_health_server` serves it as JSON for
 ``repro-tpc serve --health-port`` — and
-:meth:`~repro.serve.service.ModelPoolService.drain` stops intake, flushes
-in-flight units and releases every slab.
+:meth:`~repro.serve.service.ModelPoolService.drain` stops intake and
+flushes in-flight units.
 
 Output bytes are identical to serial single-call compress/decompress in
 every configuration.  Every pooled compressor compiles the one bit-exact
-fast-path tier, so batching, pooling, async ingestion, the slab transport
-and crash recovery are all free correctness-wise.
+fast-path tier, so batching, pooling, async ingestion, the process
+hand-off and crash recovery are all free correctness-wise.
 """
 
 from .batcher import AsyncMicroBatcher, MicroBatch, MicroBatcher
@@ -111,7 +97,6 @@ from .service import (
     WorkerCrashError,
     start_health_server,
 )
-from .shm import SlabRing, SlabSpec, shm_available
 from .source import (
     MAX_FRAME_BYTES,
     AsyncQueueSource,
@@ -151,9 +136,6 @@ __all__ = [
     "GatewayStats",
     "GatewayHealth",
     "ShardLostError",
-    "SlabRing",
-    "SlabSpec",
-    "shm_available",
     "StreamItem",
     "FrameProtocolError",
     "MAX_FRAME_BYTES",

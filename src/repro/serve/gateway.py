@@ -24,15 +24,13 @@ adds the missing tier:
   **load-aware** (sessions stick to a home shard; a full or unhealthy home
   spills the unit to the least-loaded shard).  Per-shard backpressure
   bounds the units queued + in flight on any one shard.
-* Per-shard supervision, lifted from PR 8's per-service layer: every shard
+* Per-shard supervision, lifted from the per-service layer: every shard
   runs the full supervised engine (retry/backoff, deadlines, pool rebuild,
-  circuit-breaker ladder) on its own pump thread, with **one slab ring per
-  shard leased across sessions** (the transport is created once per shard
-  and reused by consecutive supervised streams, instead of the old
-  rebuild-per-stream).  A shard whose supervisor exhausts its backend
-  ladder is **evicted**: its in-flight units are re-routed to surviving
-  shards (legal — units are idempotent) or failed cleanly per-session
-  (:class:`ShardLostError`), never globally.
+  circuit-breaker ladder) on its own pump thread, as one long-lived
+  supervised stream shared by all sessions.  A shard whose supervisor
+  exhausts its backend ladder is **evicted**: its in-flight units are
+  re-routed to surviving shards (legal — units are idempotent) or failed
+  cleanly per-session (:class:`ShardLostError`), never globally.
 * :class:`GatewayStats` / :class:`GatewayHealth` — the per-service
   ``ServiceStats``/``FaultCounters``/``ServiceHealth`` aggregated across
   shards; :meth:`ServingGateway.drain` quiesces shard-by-shard.
@@ -223,12 +221,9 @@ class _Shard:
     """One shard: a supervised service plus its pump thread and queue.
 
     The pump thread feeds a ``queue.SimpleQueue`` of routed units into
-    ``service._serve`` — the *full* PR-8 supervision stack (retries,
+    ``service._serve`` — the *full* supervision stack (retries,
     deadlines, pool rebuild, ladder step-downs) runs unchanged under the
-    gateway.  The shard's ``_ProcessTransport`` (when the config runs a
-    process pool) is created once and lent to every supervised stream, so
-    one slab ring is leased across all sessions instead of being rebuilt
-    per stream.  A unit whose error surfaces is charged to its own future;
+    gateway.  A unit whose error surfaces is charged to its own future;
     innocent in-flight units re-drive on a fresh stream.  A crash-class
     error at the ladder's last rung marks the shard **lost**: the router
     re-homes its orphans or fails them per-session.
@@ -251,7 +246,6 @@ class _Shard:
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._pending: collections.deque = collections.deque()
         self._saw_stop = False
-        self._transport = service._make_transport()
         self._thread = threading.Thread(
             target=self._pump, name=f"repro-gateway-shard{index}", daemon=True
         )
@@ -318,14 +312,6 @@ class _Shard:
             health.state = "lost"
         return health
 
-    def close_transport(self) -> None:
-        """Destroy the shard's shared ring (publishes ``last_shm``);
-        idempotent."""
-
-        transport, self._transport = self._transport, None
-        if transport is not None:
-            transport.close()
-
     # -- pump side (shard thread) ---------------------------------------
     def _items(self, recovered: list[_GatewayUnit]):
         """The supervised stream's item source: re-driven units first,
@@ -358,17 +344,10 @@ class _Shard:
 
         recovered: list[_GatewayUnit] = []
         while True:
-            # The shared transport is only meaningful while the shard
-            # still executes at the process level.
-            transport = self._transport
-            if (transport is not None
-                    and self.service._supervisor.level != "process"):
-                transport = None
             source = self._items(recovered)
             recovered = []
             try:
-                for record, result in self.service._serve(
-                        source, transport=transport):
+                for record, result in self.service._serve(source):
                     entry = self._pending.popleft()
                     self.n_units += 1
                     self.n_wedges += record.n_wedges
@@ -416,9 +395,6 @@ class _Shard:
         """Evict this shard: orphans go back to the router for re-homing."""
 
         self.elapsed_s = time.monotonic() - self.started_s
-        # Eviction releases the shard's shared ring right away — a lost
-        # shard must not leak slabs while the gateway keeps serving.
-        self.close_transport()
         orphans = list(self._pending)
         self._pending.clear()
         while True:
@@ -611,13 +587,12 @@ class StreamRouter:
         )
 
     async def drain(self, timeout: float | None = None) -> bool:
-        """Quiesce shard-by-shard: stop intake, flush, tear down rings.
+        """Quiesce shard-by-shard: stop intake, flush, shut pools down.
 
-        Each shard in turn: the pump stops after its queued backlog, the
-        underlying service drains (flushing every in-flight unit), and
-        the shard's shared slab ring is destroyed — so no slab is leaked
-        and later shards keep serving while earlier ones flush.  Returns
-        True when every shard fully drained.
+        Each shard in turn: the pump stops after its queued backlog and
+        the underlying service drains (flushing every in-flight unit), so
+        later shards keep serving while earlier ones flush.  Returns True
+        when every shard fully drained.
         """
 
         self._draining = True
@@ -632,7 +607,6 @@ class StreamRouter:
                 None, lambda s=shard: s.service.drain(True, timeout)
             )
             ok = ok and drained
-            shard.close_transport()
         self._drained = True
         return ok
 

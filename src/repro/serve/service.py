@@ -25,12 +25,8 @@ Execution backends, per :class:`ServiceConfig`:
   the GIL during GEMMs);
 * ``backend="process"`` — a process pool that sidesteps the GIL entirely on
   multi-core boxes: each worker process builds its own compressor from the
-  (pickled/forked) model.  Per ``ServiceConfig.transport``, payloads cross
-  the boundary through a shared-memory slab ring (``"shm"``, the default —
-  lease a slab, memcpy in, worker writes the result back into the same
-  slab; only descriptors are pickled) or by per-unit pickling
-  (``"pickle"``), with graceful per-unit fallback when a payload exceeds
-  the slab size.
+  (pickled/forked) model once, at pool start; work units and results
+  cross the boundary by pickling.
 
 Every backend also has an asyncio face: :class:`AsyncServingSession`
 (``await submit`` / ordered ``async for`` results) under the
@@ -67,7 +63,6 @@ from ..core.compressor import BCAECompressor, CompressedWedges
 from ..io.codes import split_compressed
 from ..perf.timing import FaultCounters, LatencySummary, ThroughputResult, summarize_latencies, throughput_from_batches
 from .batcher import AsyncMicroBatcher, MicroBatch, MicroBatcher
-from .shm import SlabArray, SlabRing, shm_available
 from .source import StreamItem, aiter_wedges, iter_wedges
 
 __all__ = [
@@ -90,11 +85,10 @@ __all__ = [
 _LOG = logging.getLogger("repro.serve")
 
 _BACKENDS = ("thread", "process")
-_TRANSPORTS = ("shm", "pickle")
 #: Ladder levels a supervised stream may execute at, best first.
 _LEVELS = ("process", "thread", "inline")
 #: Fault kinds the probe service can inject (see :class:`ProbeItem`).
-_FAULT_KINDS = ("poison", "kill", "hang", "corrupt-slab")
+_FAULT_KINDS = ("poison", "kill", "hang")
 
 
 class ServingFaultError(RuntimeError):
@@ -114,8 +108,8 @@ class WorkerCrashError(ServingFaultError):
     worker process kills every in-flight future at once — the supervisor
     re-drives the window serially so only the unit that actually crashes
     alone is charged).  On the inline/thread levels it is raised directly
-    by the injected ``kill``/``corrupt-slab`` probe faults, since threads
-    cannot be killed from outside.
+    by the injected ``kill`` probe fault, since threads cannot be killed
+    from outside.
     """
 
 
@@ -136,7 +130,7 @@ class ServiceConfig:
     ----------
     max_batch:
         Work-unit size cap in wedges (the knee of the Figure-6 batch curve
-    	for compression; payload batches are split to this for decode).
+        for compression; payload batches are split to this for decode).
     max_delay_s:
         Stream-time accumulation budget (see :class:`MicroBatcher`);
         compression only.
@@ -152,25 +146,6 @@ class ServiceConfig:
         fp16 inference mode (paper §3.3 deployment default).
     inflight:
         Bound on units submitted but not yet emitted (backpressure).
-    transport:
-        How process-backend payloads cross the boundary: ``"shm"``
-        (default) leases pre-sized shared-memory slabs — work units and
-        results move by memcpy, only tiny descriptors are pickled — while
-        ``"pickle"`` serializes every unit through the executor pipe.
-        Units larger than a slab fall back to pickle per unit.  Ignored by
-        the inline/thread backends (no process boundary to cross).
-    shm_slab_mb:
-        Slab size in MiB for ``transport="shm"``.  One slab serves both
-        directions of a unit, so it must fit ``max(input, result)``
-        bytes; the ring holds ``inflight`` slabs.  ``None`` (default) is
-        **adaptive**: the ring is sized from the first work unit using
-        the service's own arithmetic — ``max_batch`` wedges of input
-        versus ``code_shape_for``-sized fp16 codes for compression, the
-        payload versus the reconstruction geometry for decompression —
-        so payloads neither silently degrade to pickle (too small) nor
-        waste address space (too large).  Units that still exceed their
-        slab fall back to pickle per unit, now *counted* on
-        ``ServiceStats.faults.shm_fallbacks``.
     panel_threads:
         Intra-plan panel executor width for every pooled compressor
         (``None`` → the ``REPRO_PANEL_THREADS`` environment knob).  Output
@@ -209,7 +184,7 @@ class ServiceConfig:
         compressor in :class:`repro.rate.AdaptiveCompressor`, so served
         payloads carry per-wedge codec records and
         :class:`~repro.rate.RateDecision` ledgers.  Selection is a pure
-        per-wedge function, so every backend/transport produces identical
+        per-wedge function, so every backend produces identical
         decisions for identical streams.
     rate_budget_mbps:
         Optional stream-level bandwidth budget in Mbps, resolved to a
@@ -219,10 +194,10 @@ class ServiceConfig:
     Example
     -------
     >>> from repro.serve import ServiceConfig
-    >>> ServiceConfig(max_batch=16, workers=4, backend="process").transport
-    'shm'
+    >>> ServiceConfig(max_batch=16, workers=4, backend="process").backend
+    'process'
     >>> ServiceConfig(max_delay_s=0.002)          # 2 ms latency budget
-    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, transport='shm', shm_slab_mb=None, panel_threads=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
+    ServiceConfig(max_batch=8, max_delay_s=0.002, workers=0, backend='thread', half=True, inflight=8, panel_threads=None, unit_timeout_s=None, max_retries=0, backoff_base_s=0.05, degrade_after=3, rate_policy=None, rate_budget_mbps=None)
     """
 
     max_batch: int = 8
@@ -231,8 +206,6 @@ class ServiceConfig:
     backend: str = "thread"
     half: bool = True
     inflight: int = 8
-    transport: str = "shm"
-    shm_slab_mb: float | None = None
     panel_threads: int | None = None
     unit_timeout_s: float | None = None
     max_retries: int = 0
@@ -242,15 +215,21 @@ class ServiceConfig:
     rate_budget_mbps: float | None = None
 
     def __post_init__(self) -> None:
+        # Float knobs are checked as ``not x >= 0`` so that NaN, which
+        # fails every comparison, is rejected rather than waved through.
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not self.max_delay_s >= 0:
+            raise ValueError(f"max_delay_s must be >= 0, got {self.max_delay_s}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.unit_timeout_s is not None and self.unit_timeout_s <= 0:
+        if self.unit_timeout_s is not None and not self.unit_timeout_s > 0:
             raise ValueError(
                 f"unit_timeout_s must be > 0 or None, got {self.unit_timeout_s}"
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0:
+        if not self.backoff_base_s >= 0:
             raise ValueError(
                 f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
             )
@@ -264,12 +243,6 @@ class ServiceConfig:
             raise ValueError(
                 f"backend must be one of {_BACKENDS}, got {self.backend!r}"
             )
-        if self.transport not in _TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORTS}, got {self.transport!r}"
-            )
-        if self.shm_slab_mb is not None and self.shm_slab_mb <= 0:
-            raise ValueError(f"shm_slab_mb must be > 0, got {self.shm_slab_mb}")
         if self.rate_policy is not None:
             from ..rate import POLICY_NAMES
 
@@ -284,19 +257,10 @@ class ServiceConfig:
                     "rate_budget_mbps requires a rate_policy — the budget "
                     "is an input to codec selection, not a standalone knob"
                 )
-            if self.rate_budget_mbps <= 0:
+            if not self.rate_budget_mbps > 0:
                 raise ValueError(
                     f"rate_budget_mbps must be > 0, got {self.rate_budget_mbps}"
                 )
-
-    @property
-    def slab_nbytes(self) -> int:
-        if self.shm_slab_mb is None:
-            raise ValueError(
-                "shm_slab_mb is adaptive (None) — the slab size comes from "
-                "the first work unit, not from the config"
-            )
-        return int(self.shm_slab_mb * (1 << 20))
 
 
 @dataclasses.dataclass
@@ -308,9 +272,8 @@ class BatchRecord:
     n_wedges: int
     compress_s: float  # time inside the worker's compressor call
     worker: str
-    #: How the unit crossed to its worker: "local" (inline/thread), "shm"
-    #: (slab lease) or "pickle" (serialized — the pickle transport, or a
-    #: unit too large for its slab).
+    #: How the unit crossed to its worker: "local" (inline/thread) or
+    #: "pickle" (serialized to a process-pool worker).
     transport: str = ""
     #: Wall-clock accumulation time of the batch (async ingestion only).
     wait_s: float = 0.0
@@ -413,9 +376,6 @@ class ServiceHealth:
         from ``backend`` after a step-down), and the configured pool size.
     active_streams:
         Streams currently being served.
-    ring_slabs / ring_leased:
-        Slab-ring occupancy summed over active streams (0/0 when no shm
-        transport is in use); ``ring_leased`` equals in-flight shm units.
     consecutive_crashes:
         The circuit breaker's counter (reset by any unit success).
     last_unit_latency_s:
@@ -430,8 +390,6 @@ class ServiceHealth:
     level: str
     workers: int
     active_streams: int
-    ring_slabs: int
-    ring_leased: int
     consecutive_crashes: int
     last_unit_latency_s: float
     faults: FaultCounters
@@ -514,15 +472,9 @@ class ModelPoolService:
         self._idle: list[BCAECompressor] = [
             self._build_compressor() for _ in range(prewarm)
         ]
-        #: Debug counters of the last process-backend stream's transport
-        #: (shm ring name, slab stats, fallback counts) — see
-        #: :meth:`_ProcessTransport.close`.  Tests use this to assert the
-        #: lease/release protocol leaks nothing.
-        self.last_shm: dict = {}
         # Supervision state shared by every stream of this service: the
         # backend ladder, circuit breaker, drain latch and fault totals.
         self._supervisor = _Supervisor(self.config)
-        self._streams: set[_SupervisedStream] = set()
         # Fault counters / effective level of the most recently finished
         # stream, copied into that stream's ServiceStats by _stats().
         self._last_faults = FaultCounters()
@@ -569,100 +521,56 @@ class ModelPoolService:
         return record, result
 
     # ------------------------------------------------------------------
-    def _serve(self, items,
-               transport: "_ProcessTransport | None" = None,
-               ) -> Iterator[tuple[BatchRecord, object]]:
+    def _serve(self, items) -> Iterator[tuple[BatchRecord, object]]:
         """Run work units through the configured backend, in stream order.
 
         Execution is supervised (see :class:`_SupervisedStream`): worker
-        crashes rebuild the backend and quarantine the slab ring, the
-        deadline/retry policy follows :class:`ServiceConfig`, and the
-        circuit breaker may step the effective backend down
-        process → thread → inline.  Raises ``RuntimeError`` once the
-        service is draining/drained.
-
-        ``transport`` lends the stream an externally owned
-        :class:`_ProcessTransport` (see :meth:`_make_transport`): its slab
-        ring is *reused* across consecutive streams instead of rebuilt
-        per stream, and the caller — not the stream — closes it.
+        crashes rebuild the backend, the deadline/retry policy follows
+        :class:`ServiceConfig`, and the circuit breaker may step the
+        effective backend down process → thread → inline.  Raises
+        ``RuntimeError`` once the service is draining/drained.
         """
 
-        stream = _SupervisedStream(self, items, transport=transport)
+        stream = _SupervisedStream(self, items)
         try:
             yield from stream.run()
         finally:
             stream.close()
 
-    def _make_transport(self) -> "_ProcessTransport | None":
-        """A process-backend transport whose ring outlives single streams.
-
-        Returns ``None`` unless the config runs a process pool.  Pass the
-        result to :meth:`_serve` so back-to-back streams (the gateway's
-        shard pumps) lease from one long-lived slab ring instead of
-        creating and destroying a ring per stream; the caller must call
-        ``transport.close()`` when the shard is torn down.
-        """
-
-        cfg = self.config
-        if cfg.workers > 0 and cfg.backend == "process":
-            return _ProcessTransport(self)
-        return None
-
-    def _adaptive_slab_nbytes(self, item) -> int:
-        """Slab bytes that fit this unit's input *and* result at
-        ``max_batch`` (subclass hook for adaptive ``shm_slab_mb``)."""
-
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _adaptive_slab_nbytes "
-            "to use adaptive shm_slab_mb (shm_slab_mb=None)"
-        )
-
     # ------------------------------------------------------------------
     def health(self) -> ServiceHealth:
         """Point-in-time supervision probe of this service.
 
-        Reports pool liveness/state, slab-ring occupancy over active
-        streams, the circuit breaker's consecutive-crash counter,
-        last-unit latency and lifetime fault totals.  Cheap and
-        lock-light — safe to call from another thread while streams are
-        being served, which is exactly what the ``--health-port``
-        endpoint (:func:`start_health_server`) does.
+        Reports pool liveness/state, the circuit breaker's
+        consecutive-crash counter, last-unit latency and lifetime fault
+        totals.  Cheap and lock-light — safe to call from another thread
+        while streams are being served, which is exactly what the
+        ``--health-port`` endpoint (:func:`start_health_server`) does.
         """
 
         sup = self._supervisor
-        ring_slabs = 0
-        ring_leased = 0
-        for stream in list(self._streams):
-            ring = stream.ring
-            if ring is not None:
-                occupancy = ring.stats()
-                ring_slabs += occupancy["n_slabs"]
-                ring_leased += occupancy["leased"]
         return ServiceHealth(
             state=sup.state(),
             backend="inline" if self.config.workers == 0 else self.config.backend,
             level=sup.level,
             workers=self.config.workers,
             active_streams=sup.active_streams,
-            ring_slabs=ring_slabs,
-            ring_leased=ring_leased,
             consecutive_crashes=sup.consecutive_crashes,
             last_unit_latency_s=sup.last_unit_latency_s,
             faults=dataclasses.replace(sup.totals),
         )
 
     def drain(self, wait: bool = True, timeout: float | None = None) -> bool:
-        """Stop intake, flush in-flight units, release every slab.
+        """Stop intake, flush in-flight units, shut every backend down.
 
         The sync generalization of :meth:`AsyncServingSession.aclose`:
         after ``drain()`` no stream pulls further items from its source —
         a partially accumulated micro-batch flushes with
         ``closed_by="drain"``, every unit already submitted is emitted
-        (or surfaces its error), and each stream's backend and slab ring
-        are torn down on its normal close path, so nothing is orphaned
-        and no slab stays leased.  Draining is terminal for the service:
-        starting a new stream or session afterwards raises
-        ``RuntimeError``.  With ``wait=True`` (default) blocks until all
+        (or surfaces its error), and each stream's backend is torn down
+        on its normal close path, so nothing is orphaned.  Draining is
+        terminal for the service: starting a new stream or session
+        afterwards raises ``RuntimeError``.  With ``wait=True`` (default) blocks until all
         active streams have finished, up to ``timeout`` seconds (``None``
         = forever); returns True when the service is fully drained.
         """
@@ -721,7 +629,7 @@ class ModelPoolService:
         in-flight window, same stream-order emission — but submission and
         emission interleave on the event loop, so an async source keeps
         producing while workers compute.  Closing the generator early
-        drains in-flight units cleanly (no orphaned work, no leaked slabs).
+        drains in-flight units cleanly (no orphaned work).
         """
 
         session = self.session()
@@ -874,27 +782,21 @@ class _Engine:
     The supervised stream treats the engine as disposable: on a crash or
     a hung worker it is shut down (``force=True`` SIGKILLs worker
     processes outright, or abandons hung threads) and a fresh instance is
-    built at the supervisor's current level.  All three levels expose the
-    same submit/result/fail surface, so the fault policy above is
-    level-agnostic.  The inline level executes at submit time on the
-    caller's thread and hands back an already-resolved future — the
-    degenerate engine every fault path can fall back to.
+    built at the supervisor's current level.  All three levels hand back
+    a ``concurrent.futures.Future`` from :meth:`submit`, so the fault
+    policy above is level-agnostic.  The inline level executes at submit
+    time on the caller's thread and hands back an already-resolved future
+    — the degenerate engine every fault path can fall back to.
     """
 
-    def __init__(self, service: ModelPoolService, level: str,
-                 transport: "_ProcessTransport | None" = None) -> None:
+    def __init__(self, service: ModelPoolService, level: str) -> None:
         cfg = service.config
         self._service = service
         self.level = level
-        self._transport = transport
         self._checkout: _Checkout | None = None
         self._pool = None
         if level == "process":
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                cfg.workers,
-                initializer=_process_init,
-                initargs=transport.initargs(),
-            )
+            self._pool = _process_pool(service)
         elif level == "thread":
             self._checkout = _Checkout(service)
             self._pool = concurrent.futures.ThreadPoolExecutor(max(1, cfg.workers))
@@ -903,7 +805,7 @@ class _Engine:
 
     def submit(self, item):
         if self.level == "process":
-            return self._transport.submit(self._pool, item)
+            return _process_submit(self._pool, self._service._kind, item)
         if self.level == "thread":
             return self._pool.submit(self._service._execute, self._checkout, item)
         future: concurrent.futures.Future = concurrent.futures.Future()
@@ -914,16 +816,6 @@ class _Engine:
             # the three levels share one fault path.
             future.set_exception(exc)
         return future
-
-    def result(self, future, timeout: float | None):
-        record, result = future.result(timeout=timeout)
-        if self.level == "process":
-            record, result = self._transport.finalize(future, record, result)
-        return record, result
-
-    def fail(self, future) -> None:
-        if self.level == "process":
-            self._transport.fail(future)
 
     def shutdown(self, force: bool = False) -> None:
         pool, self._pool = self._pool, None
@@ -954,10 +846,8 @@ class _Engine:
 class _SupervisedStream:
     """One supervised served stream: the engine loop under :meth:`_serve`.
 
-    Owns a rebuildable :class:`_Engine` (plus, at the process level, a
-    :class:`_ProcessTransport` whose slab ring it can quarantine), drives
-    the bounded in-flight window in stream order, and implements the
-    fault policy:
+    Owns a rebuildable :class:`_Engine`, drives the bounded in-flight
+    window in stream order, and implements the fault policy:
 
     * per-unit deadlines (``unit_timeout_s``) with force-kill + rebuild
       of a hung pool;
@@ -971,8 +861,7 @@ class _SupervisedStream:
       ``degrade_after`` consecutive crashes.
     """
 
-    def __init__(self, service: ModelPoolService, items,
-                 transport: "_ProcessTransport | None" = None) -> None:
+    def __init__(self, service: ModelPoolService, items) -> None:
         service._supervisor.stream_started()
         self._service = service
         self._sup = service._supervisor
@@ -981,30 +870,9 @@ class _SupervisedStream:
         self._window: collections.deque = collections.deque()
         self._counters = FaultCounters()
         self._recovering = False
-        # A borrowed transport (gateway shard pumps) is reused across
-        # streams and closed by its owner, not here.
-        self._owns_transport = transport is None
-        self._transport: _ProcessTransport | None = transport
-        if self._transport is None and self._sup.level == "process":
-            self._transport = _ProcessTransport(service)
-        self._fallback_base = (
-            self._transport.fallbacks if self._transport is not None else 0
-        )
-        # Adaptive slab sizing needs the first unit before the ring (and
-        # therefore the pool, whose workers attach the ring at init) can
-        # exist — defer engine creation to the first submit in that case.
-        self._engine: _Engine | None = None
-        if self._transport is None or not self._transport.ring_pending:
-            self._engine = _Engine(service, self._sup.level, self._transport)
-        service._streams.add(self)
+        self._engine = _Engine(service, self._sup.level)
 
     # ------------------------------------------------------------------
-    @property
-    def ring(self):
-        """The stream's slab ring, if the current level uses one."""
-
-        return self._transport.ring if self._transport is not None else None
-
     def _inflight(self) -> int:
         # Inline execution completes at submit: a deeper window would only
         # delay emission, and pull-driven laziness (submit → emit → next
@@ -1036,33 +904,22 @@ class _SupervisedStream:
             yield self._pop()
 
     def close(self) -> None:
-        """Shut the engine down, publish transport stats, unregister."""
+        """Shut the engine down and publish the stream's counters."""
 
         try:
-            if self._engine is not None:
-                self._engine.shutdown()
-            if self._transport is not None:
-                fallbacks = self._transport.fallbacks - self._fallback_base
-                if fallbacks > 0:
-                    self._count("shm_fallbacks", fallbacks)
-                if self._owns_transport:
-                    self._transport.close()
+            self._engine.shutdown()
         finally:
-            self._service._streams.discard(self)
             self._service._last_faults = dataclasses.replace(self._counters)
-            self._service._last_level = (
-                self._engine.level if self._engine is not None
-                else self._sup.level
-            )
+            self._service._last_level = self._engine.level
             self._sup.stream_done()
 
     # ------------------------------------------------------------------
-    def _count(self, field: str, n: int = 1) -> None:
+    def _count(self, field: str) -> None:
         """Bump one fault counter on the stream and the service totals."""
 
-        setattr(self._counters, field, getattr(self._counters, field) + n)
+        setattr(self._counters, field, getattr(self._counters, field) + 1)
         totals = self._sup.totals
-        setattr(totals, field, getattr(totals, field) + n)
+        setattr(totals, field, getattr(totals, field) + 1)
 
     def _crashed(self) -> None:
         """Crash bookkeeping shared by every worker-death path."""
@@ -1072,12 +929,6 @@ class _SupervisedStream:
             self._count("degraded")
 
     def _submit(self, unit: _Unit) -> None:
-        if self._engine is None:
-            # Deferred start (adaptive slab sizing): size the ring from
-            # this first unit, then stand the pool up against it.
-            self._transport.ensure_ring(unit.item)
-            self._engine = _Engine(self._service, self._sup.level,
-                                   self._transport)
         if hasattr(unit.item, "attempt"):
             unit.item.attempt = unit.attempt  # probe fault hooks see retries
         try:
@@ -1117,7 +968,7 @@ class _SupervisedStream:
 
         cfg = self._cfg
         try:
-            record, result = self._engine.result(unit.future, cfg.unit_timeout_s)
+            record, result = unit.future.result(timeout=cfg.unit_timeout_s)
         except concurrent.futures.TimeoutError:
             # The deadline clock runs while we wait on the unit's
             # emission.  A hung worker also wedges its executor slot, so
@@ -1153,13 +1004,12 @@ class _SupervisedStream:
             return
         except WorkerCrashError as exc:
             # In-worker crash with the pool still alive (the inline/thread
-            # levels' injected kill/corrupt-slab faults).  The breaker may
-            # still trip — then the engine is swapped for the lower level
-            # and the window re-driven on it.
+            # levels' injected kill fault).  The breaker may still trip —
+            # then the engine is swapped for the lower level and the
+            # window re-driven on it.
             self._count("crashes")
             degraded = self._sup.note_crash()
             self._sup.transient = "retrying"
-            self._engine.fail(unit.future)
             if degraded:
                 self._count("degraded")
                 self._rebuild(force=False)
@@ -1169,14 +1019,9 @@ class _SupervisedStream:
             return
         except Exception as exc:
             # Plain worker exception: the unit failed, the pool is fine.
-            self._engine.fail(unit.future)
             self._sup.transient = "retrying"
             self._charge(unit, exc)
             return
-        except BaseException:
-            # KeyboardInterrupt and friends: release the slab, propagate.
-            self._engine.fail(unit.future)
-            raise
         unit.done = (record, result)
         self._sup.transient = "healthy"
 
@@ -1203,22 +1048,12 @@ class _SupervisedStream:
 
     def _rebuild(self, force: bool) -> None:
         """Tear the engine down and stand a fresh one up at the current
-        (possibly just-degraded) ladder level; quarantine the slab ring
-        when a process pool died mid-write."""
+        (possibly just-degraded) ladder level."""
 
         self._count("rebuilds")
         self._sup.transient = "rebuilding"
         self._engine.shutdown(force=force)
-        level = self._sup.level
-        if self._transport is not None:
-            if level == "process":
-                if self._transport.quarantine_ring():
-                    self._count("ring_rebuilds")
-            else:
-                # Degraded below the process level: no pool will attach
-                # again, so drop the (possibly corrupt) ring outright.
-                self._transport.drop_ring()
-        self._engine = _Engine(self._service, level, self._transport)
+        self._engine = _Engine(self._service, self._sup.level)
 
     def _recover_window(self, skip: _Unit | None = None) -> None:
         """Serially re-drive every pending in-flight unit on the rebuilt
@@ -1281,25 +1116,6 @@ class StreamingCompressionService(ModelPoolService):
         # compress_into without `out` returns owned payload bytes — safe to
         # hand across threads while the worker reuses its workspaces.
         return compressor.compress_into(batch.wedges)
-
-    def _adaptive_slab_nbytes(self, batch: MicroBatch) -> int:
-        """Slab size fitting ``max_batch`` wedges of input and their codes.
-
-        The codes side uses the exact ``code_shape_for`` arithmetic the
-        worker applies (fp16 = 2 bytes/element), so a full-size batch
-        round-trips through one slab with zero pickle fallbacks.
-        """
-
-        wedges = np.asarray(batch.wedges)
-        spatial = wedges.shape[1:]
-        per_input = int(np.prod(spatial)) * wedges.dtype.itemsize
-        compressor = self._acquire()
-        try:
-            code_shape = compressor.code_shape_for(spatial)
-        finally:
-            self._release([compressor])
-        per_codes = int(np.prod(code_shape)) * 2
-        return self.config.max_batch * max(per_input, per_codes)
 
     # ------------------------------------------------------------------
     def compress_stream(
@@ -1388,51 +1204,16 @@ class DecompressionService(ModelPoolService):
         # Copy out of the worker's reused workspace before hand-off.
         return np.array(compressor.decompress_into(item.compressed))
 
-    def _adaptive_slab_nbytes(self, item: PayloadItem) -> int:
-        """Slab size fitting ``max_batch`` wedges of payload and recon.
-
-        The reconstruction dominates: fp32 at the full wedge geometry,
-        recovered from the payload header — 3D models carry their exact
-        input spatial shape; the 2D family's azimuthal extent is
-        ``code_shape[1] * 2**d`` (the encoder's downsampling inverted)
-        over ``in_channels`` radial layers and the unpadded horizontal.
-        """
-
-        c = item.compressed
-        n_wedges = max(1, int(c.n_wedges))
-        per_payload = -(-int(c.nbytes) // n_wedges)
-        encoder = self.model.encoder
-        if hasattr(encoder, "spatial"):
-            per_recon = int(np.prod(encoder.spatial)) * 4
-        else:
-            upsample = 2 ** encoder.d
-            per_recon = (int(encoder.in_channels)
-                         * int(c.code_shape[1]) * upsample
-                         * int(c.original_horizontal) * 4)
-        return self.config.max_batch * max(per_payload, per_recon)
-
     # ------------------------------------------------------------------
     def _as_items(
         self, source: Iterable[CompressedWedges] | CompressedWedges
     ) -> Iterator[PayloadItem]:
         if isinstance(source, CompressedWedges):
             source = [source]
-        # Only the pickle transport needs owned bytes up front; the shm
-        # path memcpys straight from the memoryview (its oversize fallback
-        # converts per unit via _picklable).
-        pickled = (
-            self.config.backend == "process"
-            and self.config.workers > 0
-            and self.config.transport == "pickle"
-        )
         seq = 0
         first = 0
         for compressed in source:
             for chunk in split_compressed(compressed, self.config.max_batch):
-                if pickled and not isinstance(chunk.payload, bytes):
-                    chunk = dataclasses.replace(
-                        chunk, payload=bytes(chunk.payload)
-                    )
                 yield PayloadItem(seq=seq, first_seq=first, compressed=chunk)
                 seq += 1
                 first += chunk.n_wedges
@@ -1477,7 +1258,7 @@ class DecompressionService(ModelPoolService):
 
 @dataclasses.dataclass
 class ProbeItem:
-    """One transport-probe work unit: an array to ship, touch, and ack.
+    """One hand-off probe work unit: an array to ship, touch, and ack.
 
     The deterministic fault-injection hooks the supervision tests drive
     every recovery path with, on every backend, without corrupting real
@@ -1490,10 +1271,7 @@ class ProbeItem:
       down, it raises :class:`WorkerCrashError` instead — the same
       supervisor path, minus the pool rebuild);
     * ``fault="hang"`` — the worker sleeps ``hang_s`` before answering,
-      to trip ``unit_timeout_s`` deadlines;
-    * ``fault="corrupt-slab"`` — the worker scribbles over its input
-      slab *and then* crashes like ``kill``, modelling a writer dying
-      mid-write (the supervisor must quarantine the ring).
+      to trip ``unit_timeout_s`` deadlines.
 
     ``fail_attempts`` bounds the injection: the fault fires only while
     ``attempt < fail_attempts`` (``None`` = always), so one item can
@@ -1506,8 +1284,8 @@ class ProbeItem:
     first_seq: int
     payload: np.ndarray
     poison: bool = False
-    #: One of ``"poison"``/``"kill"``/``"hang"``/``"corrupt-slab"``
-    #: (empty = healthy unit); ``poison=True`` is shorthand for "poison".
+    #: One of ``"poison"``/``"kill"``/``"hang"`` (empty = healthy unit);
+    #: ``poison=True`` is shorthand for "poison".
     fault: str = ""
     #: Sleep duration for ``fault="hang"``.
     hang_s: float = 0.0
@@ -1549,8 +1327,7 @@ def _maybe_injected_kill(seq: int) -> None:
 
 def _probe_work(payload: np.ndarray, poison: bool = False, fault: str = "",
                 hang_s: float = 0.0, attempt: int = 0,
-                fail_attempts: int | None = None, ring: SlabRing | None = None,
-                slab: int | None = None):
+                fail_attempts: int | None = None):
     fault = fault or ("poison" if poison else "")
     if fault and fault not in _FAULT_KINDS:
         raise ValueError(f"fault must be one of {_FAULT_KINDS}, got {fault!r}")
@@ -1560,10 +1337,7 @@ def _probe_work(payload: np.ndarray, poison: bool = False, fault: str = "",
             raise RuntimeError("injected worker fault (poisoned probe unit)")
         if fault == "hang":
             time.sleep(hang_s)
-        else:  # kill / corrupt-slab
-            if fault == "corrupt-slab" and ring is not None and slab is not None:
-                # A writer dying mid-write: scribble over the slab first.
-                ring.view(slab)[:] = b"\xa5" * ring.slab_nbytes
+        else:  # kill
             if _IN_POOL_WORKER:
                 os.kill(os.getpid(), signal.SIGKILL)
             raise WorkerCrashError(f"injected worker crash ({fault} probe unit)")
@@ -1575,11 +1349,10 @@ def _probe_work(payload: np.ndarray, poison: bool = False, fault: str = "",
 class HandoffProbeService(ModelPoolService):
     """The serving engine with the model call replaced by a checksum.
 
-    Same batching, pooling, ordering, and transport machinery as the real
+    Same batching, pooling, ordering, and hand-off machinery as the real
     services — but each unit's "work" is reading the payload and returning
-    a float.  This isolates the process-boundary hand-off, which is what
-    ``bench_serving.py`` gates shm against pickle on, and gives the fault
-    tests a worker that fails on command (``ProbeItem.poison``).
+    a float.  This isolates the process-boundary hand-off, and gives the
+    fault tests a worker that fails on command (:class:`ProbeItem`).
     """
 
     _kind = "probe"
@@ -1591,12 +1364,6 @@ class HandoffProbeService(ModelPoolService):
         return _probe_work(item.payload, item.poison, fault=item.fault,
                            hang_s=item.hang_s, attempt=item.attempt,
                            fail_attempts=item.fail_attempts)
-
-    def _adaptive_slab_nbytes(self, item: ProbeItem) -> int:
-        """Probe units ship whole arrays; the ack is a float — size the
-        slab to the first unit's payload."""
-
-        return int(np.asarray(item.payload).nbytes)
 
     @staticmethod
     def items(arrays: Sequence[np.ndarray], poison_seqs: Sequence[int] = (),
@@ -1635,12 +1402,11 @@ class HandoffProbeService(ModelPoolService):
 
 # ----------------------------------------------------------------------
 # Process-backend plumbing: workers own a resident compressor built once in
-# the child (model crosses by fork/pickle at pool start, never per unit) and,
-# under transport="shm", a mapped view of the parent's slab ring.
+# the child (model crosses by fork/pickle at pool start, never per unit);
+# work units and results cross the pool's pipe by pickle.
 # ----------------------------------------------------------------------
 
 _PROCESS_COMPRESSOR: BCAECompressor | None = None
-_PROCESS_RING: SlabRing | None = None
 
 
 def _make_compressor(model, half: bool,
@@ -1664,32 +1430,46 @@ def _make_compressor(model, half: bool,
     )
 
 
-def _process_init(model, half: bool, ring_spec=None,
-                  panel_threads: int | None = None,
-                  rate_policy: str | None = None,
-                  rate_budget_mbps: float | None = None) -> None:
-    global _PROCESS_COMPRESSOR, _PROCESS_RING, _IN_POOL_WORKER
+def _process_init(model, half: bool, panel_threads: int | None,
+                  rate_policy: str | None,
+                  rate_budget_mbps: float | None) -> None:
+    global _PROCESS_COMPRESSOR, _IN_POOL_WORKER
     _IN_POOL_WORKER = True
     _PROCESS_COMPRESSOR = _make_compressor(model, half,
                                            panel_threads, rate_policy,
                                            rate_budget_mbps)
-    _PROCESS_RING = SlabRing.attach(ring_spec) if ring_spec is not None else None
 
 
-def _record(item_or_work, dt: float) -> BatchRecord:
-    return BatchRecord(
-        seq=item_or_work.seq,
-        first_seq=item_or_work.first_seq,
-        n_wedges=item_or_work.n_wedges,
-        compress_s=dt,
-        worker=f"p{os.getpid()}",
-        wait_s=getattr(item_or_work, "wait_s", 0.0),
-        closed_by=getattr(item_or_work, "closed_by", ""),
+def _process_pool(service: ModelPoolService) -> concurrent.futures.ProcessPoolExecutor:
+    """A process pool whose workers each build the service's compressor."""
+
+    cfg = service.config
+    return concurrent.futures.ProcessPoolExecutor(
+        cfg.workers,
+        initializer=_process_init,
+        initargs=(service.model, cfg.half, cfg.panel_threads,
+                  cfg.rate_policy, cfg.rate_budget_mbps),
     )
 
 
+def _process_submit(pool, kind: str, item):
+    """Hand one unit to a process-pool worker, by value.
+
+    Archive chunks from :func:`~repro.io.codes.split_compressed` are
+    zero-copy memoryview slices, which cannot be pickled; this is the one
+    place they become owned bytes.
+    """
+
+    compressed = getattr(item, "compressed", None)
+    if compressed is not None and not isinstance(compressed.payload, bytes):
+        item = dataclasses.replace(item, compressed=dataclasses.replace(
+            compressed, payload=bytes(compressed.payload)
+        ))
+    return pool.submit(_process_work, kind, item)
+
+
 def _process_work(kind: str, item) -> tuple[BatchRecord, object]:
-    """Pickle-transport worker: the whole unit crossed by value."""
+    """Process-pool worker: the whole unit crossed by value."""
 
     compressor = _PROCESS_COMPRESSOR
     assert compressor is not None, "process pool initializer did not run"
@@ -1703,351 +1483,17 @@ def _process_work(kind: str, item) -> tuple[BatchRecord, object]:
         result = _probe_work(item.payload, item.poison, fault=item.fault,
                              hang_s=item.hang_s, attempt=item.attempt,
                              fail_attempts=item.fail_attempts)
-    return _record(item, time.perf_counter() - t0), result
-
-
-@dataclasses.dataclass
-class _ShmWork:
-    """Slab-transport work descriptor — the only thing pickled per unit."""
-
-    kind: str
-    seq: int
-    first_seq: int
-    n_wedges: int
-    array: SlabArray          # the unit's input payload, in its slab
-    meta: tuple = ()          # kind-specific extras (see _ProcessTransport)
-    wait_s: float = 0.0
-    closed_by: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class _SlabPayload:
-    """Result descriptor: a CompressedWedges whose bytes live in the slab."""
-
-    slab: int
-    nbytes: int
-    code_shape: tuple[int, ...]
-    n_wedges: int
-    original_horizontal: int
-    half: bool | None
-    code_dtype: str
-    #: Adaptive-tier extras (None for fixed-rate BCAE payloads).  The
-    #: decision ledger is tiny, so it rides in the pickled descriptor
-    #: while the record bytes cross through the slab.
-    codec_ids: tuple[int, ...] | None = None
-    record_sizes: tuple[int, ...] | None = None
-    decisions: tuple | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class _SlabFallback:
-    """A result that did not fit its slab and crossed by value instead."""
-
-    value: object
-
-
-def _process_work_shm(work: _ShmWork) -> tuple[BatchRecord, object]:
-    """Slab-transport worker: payloads move by memcpy, never by pickle.
-
-    The input is read in place from the unit's slab; the result is written
-    back into the *same* slab (the input has been consumed by then), so one
-    lease covers the unit's whole round trip.  Results larger than the slab
-    cross by value, wrapped in :class:`_SlabFallback`.
-    """
-
-    compressor = _PROCESS_COMPRESSOR
-    ring = _PROCESS_RING
-    assert compressor is not None and ring is not None, "shm pool init did not run"
-    _maybe_injected_kill(work.seq)
-    t0 = time.perf_counter()
-    result: object
-    if work.kind == "compress":
-        wedges = ring.read_array(work.array, copy=False)
-        if getattr(compressor, "is_adaptive", False):
-            # Adaptive records are variable-size, so the payload is
-            # compressed to owned bytes first and memcpy'd into the slab
-            # when it fits; the tiny decision ledger rides the descriptor.
-            compressed = compressor.compress_into(wedges)
-            if compressed.nbytes <= ring.slab_nbytes:
-                ring.view(work.array.slab, compressed.nbytes)[:] = (
-                    compressed.payload
-                )
-                result = _SlabPayload(
-                    slab=work.array.slab,
-                    nbytes=compressed.nbytes,
-                    code_shape=tuple(compressed.code_shape),
-                    n_wedges=compressed.n_wedges,
-                    original_horizontal=compressed.original_horizontal,
-                    half=compressed.half,
-                    code_dtype=compressed.code_dtype,
-                    codec_ids=compressed.codec_ids,
-                    record_sizes=compressed.record_sizes,
-                    decisions=compressed.decisions,
-                )
-            else:
-                result = _SlabFallback(compressed)
-        else:
-            code_shape = compressor.code_shape_for(wedges.shape[1:])
-            code_nbytes = wedges.shape[0] * int(np.prod(code_shape)) * 2
-            if code_nbytes <= ring.slab_nbytes:
-                # Zero-copy result: compress_into writes the fp16 codes
-                # straight into the slab (over the consumed input).
-                out = ring.view(work.array.slab)
-                compressed = compressor.compress_into(wedges, out=out)
-                result = _SlabPayload(
-                    slab=work.array.slab,
-                    nbytes=compressed.nbytes,
-                    code_shape=tuple(compressed.code_shape),
-                    n_wedges=compressed.n_wedges,
-                    original_horizontal=compressed.original_horizontal,
-                    half=compressed.half,
-                    code_dtype=compressed.code_dtype,
-                )
-            else:
-                compressed = compressor.compress_into(wedges)
-                result = _SlabFallback(dataclasses.replace(
-                    compressed, payload=bytes(compressed.payload)
-                ))
-    elif work.kind == "decompress":
-        (code_shape, n_payload, horizontal, half, code_dtype,
-         codec_ids, record_sizes, decisions) = work.meta
-        compressed = CompressedWedges(
-            payload=ring.view(work.array.slab, work.array.nbytes),
-            code_shape=code_shape,
-            n_wedges=n_payload,
-            original_horizontal=horizontal,
-            half=half,
-            code_dtype=code_dtype,
-            codec_ids=codec_ids,
-            record_sizes=record_sizes,
-            decisions=decisions,
-        )
-        recon = compressor.decompress_into(compressed)
-        if recon.nbytes <= ring.slab_nbytes:
-            result = ring.write_array(work.array.slab, recon)
-        else:
-            result = _SlabFallback(np.array(recon))
-    else:
-        poison, fault, hang_s, attempt, fail_attempts = work.meta
-        result = _probe_work(ring.read_array(work.array, copy=False), poison,
-                             fault=fault, hang_s=hang_s, attempt=attempt,
-                             fail_attempts=fail_attempts, ring=ring,
-                             slab=work.array.slab)
-    return _record(work, time.perf_counter() - t0), result
-
-
-class _ProcessTransport:
-    """Per-stream hand-off policy for the process backend.
-
-    Owns the slab ring (``transport="shm"``), decides shm-vs-pickle per
-    unit (graceful fallback when a payload exceeds the slab), materializes
-    result descriptors, and guarantees every leased slab is released — on
-    success, on worker exception, and (via :meth:`close`) when the stream
-    is abandoned.  One instance per served stream; :meth:`close` publishes
-    debug counters to ``service.last_shm`` and unlinks the segment.
-    """
-
-    def __init__(self, service: ModelPoolService) -> None:
-        cfg = service.config
-        self._service = service
-        self._kind = service._kind
-        self.ring: SlabRing | None = None
-        self.input_fallbacks = 0
-        self.result_fallbacks = 0
-        self.ring_rebuilds = 0
-        self._want_shm = (cfg.transport == "shm" and cfg.workers > 0
-                          and shm_available())
-        if self._want_shm and cfg.shm_slab_mb is not None:
-            self.ring = SlabRing.create(cfg.inflight, cfg.slab_nbytes)
-        # Adaptive sizing (shm_slab_mb=None) defers ring creation to
-        # ensure_ring(), fed by the first work unit.
-        self._had_ring = self.ring is not None
-
-    @property
-    def fallbacks(self) -> int:
-        """Units that degraded to pickle in either direction (lifetime)."""
-
-        return self.input_fallbacks + self.result_fallbacks
-
-    @property
-    def ring_pending(self) -> bool:
-        """True while the adaptively-sized ring awaits its first unit."""
-
-        return self._want_shm and self.ring is None
-
-    def ensure_ring(self, item) -> None:
-        """Create the adaptively-sized ring from the first unit (no-op
-        once the ring exists or shm is not in play).
-
-        The size comes from the owning service's
-        ``_adaptive_slab_nbytes`` arithmetic — ``max_batch`` wedges of
-        input versus the ``code_shape_for``-sized result — rounded up to
-        4 KiB pages so the kernel-page mapping is never partially used.
-        """
-
-        if not self.ring_pending:
-            return
-        nbytes = int(self._service._adaptive_slab_nbytes(item))
-        nbytes = max(4096, -(-nbytes // 4096) * 4096)
-        self.ring = SlabRing.create(self._service.config.inflight, nbytes)
-        self._had_ring = True
-
-    def initargs(self) -> tuple:
-        cfg = self._service.config
-        spec = self.ring.spec() if self.ring is not None else None
-        return (self._service.model, cfg.half, spec,
-                cfg.panel_threads, cfg.rate_policy, cfg.rate_budget_mbps)
-
-    # -- per-kind payload plumbing --------------------------------------
-    def _unit_array(self, item) -> np.ndarray:
-        if self._kind == "compress":
-            return item.wedges
-        if self._kind == "decompress":
-            return np.frombuffer(item.compressed.payload, dtype=np.uint8)
-        return np.asarray(item.payload)
-
-    def _unit_meta(self, item) -> tuple:
-        if self._kind == "decompress":
-            c = item.compressed
-            return (tuple(c.code_shape), c.n_wedges, c.original_horizontal,
-                    c.half, c.code_dtype, c.codec_ids, c.record_sizes,
-                    c.decisions)
-        if self._kind == "probe":
-            return (item.poison, item.fault, item.hang_s, item.attempt,
-                    item.fail_attempts)
-        return ()
-
-    # -- submit/finalize hooks ------------------------------------------
-    def submit(self, pool, item):
-        ring = self.ring
-        if ring is not None:
-            array = self._unit_array(item)
-            slab = ring.try_lease() if array.nbytes <= ring.slab_nbytes else None
-            if slab is not None:
-                work = _ShmWork(
-                    kind=self._kind,
-                    seq=item.seq,
-                    first_seq=item.first_seq,
-                    n_wedges=item.n_wedges,
-                    array=ring.write_array(slab, array),
-                    meta=self._unit_meta(item),
-                    wait_s=getattr(item, "wait_s", 0.0),
-                    closed_by=getattr(item, "closed_by", ""),
-                )
-                future = pool.submit(_process_work_shm, work)
-                future._slab = slab
-                # Tag the lease's ring: after a quarantine-and-rebuild,
-                # stale futures must not release old-ring indices into
-                # the fresh ring (see finalize/fail guards).
-                future._ring = ring
-                return future
-            self.input_fallbacks += 1
-        future = pool.submit(_process_work, self._kind, _picklable(item))
-        future._slab = None
-        future._ring = None
-        return future
-
-    def finalize(self, future, record: BatchRecord, result):
-        slab = getattr(future, "_slab", None)
-        try:
-            if isinstance(result, _SlabPayload):
-                result = CompressedWedges(
-                    payload=self.ring.read_bytes(result.slab, result.nbytes),
-                    code_shape=result.code_shape,
-                    n_wedges=result.n_wedges,
-                    original_horizontal=result.original_horizontal,
-                    half=result.half,
-                    code_dtype=result.code_dtype,
-                    codec_ids=result.codec_ids,
-                    record_sizes=result.record_sizes,
-                    decisions=result.decisions,
-                )
-            elif isinstance(result, SlabArray):
-                result = self.ring.read_array(result, copy=True)
-            elif isinstance(result, _SlabFallback):
-                self.result_fallbacks += 1
-                result = result.value
-            record.transport = "shm" if slab is not None else "pickle"
-        finally:
-            if slab is not None and getattr(future, "_ring", None) is self.ring:
-                self.ring.release(slab)
-        return record, result
-
-    def fail(self, future) -> None:
-        """Release a failed unit's slab (the worker raised).
-
-        A slab leased from a ring that has since been quarantined is left
-        alone — its segment is already destroyed, and its index must not
-        alias a lease in the replacement ring.
-        """
-
-        slab = getattr(future, "_slab", None)
-        if (slab is not None and self.ring is not None
-                and getattr(future, "_ring", None) is self.ring):
-            self.ring.release(slab)
-
-    # -- crash recovery --------------------------------------------------
-    def quarantine_ring(self) -> bool:
-        """Replace the slab ring after a worker process died (or hung).
-
-        A dead writer may have left any slab mid-write and its leases can
-        never be trusted again, so the whole segment is destroyed
-        (reclaiming every lease) and a fresh ring of the same geometry is
-        created for the rebuilt pool.  Returns True when a ring was
-        actually replaced.
-        """
-
-        if self.ring is None:
-            return False
-        # Replace with the *actual* geometry — under adaptive sizing the
-        # live ring's slab size came from the first unit, not the config.
-        n_slabs, slab_nbytes = self.ring.n_slabs, self.ring.slab_nbytes
-        self.ring.destroy()
-        self.ring = SlabRing.create(n_slabs, slab_nbytes)
-        self.ring_rebuilds += 1
-        return True
-
-    def drop_ring(self) -> None:
-        """Destroy the ring with no replacement (degraded below process)."""
-
-        self._want_shm = False
-        if self.ring is not None:
-            self.ring.destroy()
-            self.ring = None
-
-    def close(self) -> None:
-        """Publish debug stats and destroy the segment (idempotent)."""
-
-        stats = {
-            "transport": "shm" if (self.ring is not None or self._had_ring)
-            else "pickle",
-            "input_fallbacks": self.input_fallbacks,
-            "result_fallbacks": self.result_fallbacks,
-            "ring_rebuilds": self.ring_rebuilds,
-        }
-        if self.ring is not None:
-            stats.update(
-                name=self.ring.spec().name,
-                n_slabs=self.ring.n_slabs,
-                slab_nbytes=self.ring.slab_nbytes,
-                leased_at_close=self.ring.leased_count(),
-            )
-            self.ring.destroy()
-            self.ring = None
-        self._service.last_shm = stats
-
-
-def _picklable(item):
-    """Ensure a fallback unit survives pickling (memoryview payloads)."""
-
-    compressed = getattr(item, "compressed", None)
-    if compressed is not None and not isinstance(compressed.payload, bytes):
-        return dataclasses.replace(
-            item, compressed=dataclasses.replace(
-                compressed, payload=bytes(compressed.payload)
-            )
-        )
-    return item
+    record = BatchRecord(
+        seq=item.seq,
+        first_seq=item.first_seq,
+        n_wedges=item.n_wedges,
+        compress_s=time.perf_counter() - t0,
+        worker=f"p{os.getpid()}",
+        transport="pickle",
+        wait_s=getattr(item, "wait_s", 0.0),
+        closed_by=getattr(item, "closed_by", ""),
+    )
+    return record, result
 
 
 class _Checkout:
@@ -2088,7 +1534,7 @@ class AsyncServingSession:
 
     Opens the configured backend once (private single-thread executor for
     ``workers=0`` so inline work never blocks the event loop, thread pool,
-    or process pool with the shm/pickle transport), then:
+    or process pool), then:
 
     * ``await submit(unit)`` — hands one work unit to the backend and
       returns its :class:`asyncio.Future`.  Backpressure: when
@@ -2098,8 +1544,8 @@ class AsyncServingSession:
       emission: units come back in submission order regardless of which
       worker finished first.
     * ``await aclose()`` — drains every in-flight unit (nothing is
-      orphaned; failed units release their slabs), shuts the backend down,
-      and destroys the slab ring.  Also an async context manager.
+      orphaned) and shuts the backend down.  Also an async context
+      manager.
 
     A worker exception surfaces on the owning unit's future (and from
     ``next_result`` at that unit's position); other units and later
@@ -2122,19 +1568,10 @@ class AsyncServingSession:
         self._window: collections.deque = collections.deque()
         self._emitted = asyncio.Event()
         self._closed = False
-        self._transport: _ProcessTransport | None = None
         self._checkout: _Checkout | None = None
-        if cfg.workers > 0 and cfg.backend == "process":
-            self._transport = _ProcessTransport(service)
-            # Adaptive slab sizing: the ring (and the pool, whose workers
-            # attach the ring at init) wait for the first submitted unit.
-            self._pool = None
-            if not self._transport.ring_pending:
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    cfg.workers,
-                    initializer=_process_init,
-                    initargs=self._transport.initargs(),
-                )
+        self._process = cfg.workers > 0 and cfg.backend == "process"
+        if self._process:
+            self._pool = _process_pool(service)
         else:
             self._checkout = _Checkout(service)
             self._pool = concurrent.futures.ThreadPoolExecutor(max(1, cfg.workers))
@@ -2153,13 +1590,10 @@ class AsyncServingSession:
     async def submit(self, item) -> asyncio.Future:
         """Submit one work unit; returns the unit's future.
 
-        The future completes when the unit's worker finishes, and a worker
-        exception surfaces as the future's exception — that is its primary
-        contract.  Its *value* is the materialized result only for the
-        inline/thread backends; under the process backend it may be an
-        internal transport descriptor (the slab is materialized and
-        released by the ordered emission path), so consume results through
-        :meth:`next_result`/:meth:`results`, not from this future.
+        The future completes with the unit's ``(record, result)`` when its
+        worker finishes; a worker exception surfaces as the future's
+        exception.  Consume results in stream order through
+        :meth:`next_result`/:meth:`results`.
         """
 
         if self._closed:
@@ -2167,20 +1601,11 @@ class AsyncServingSession:
         while len(self._window) >= self._service.config.inflight:
             self._emitted.clear()
             await self._emitted.wait()
-        if self._pool is None:
-            cfg = self._service.config
-            self._transport.ensure_ring(item)
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                cfg.workers,
-                initializer=_process_init,
-                initargs=self._transport.initargs(),
-            )
-        if self._transport is not None:
-            cf = self._transport.submit(self._pool, item)
+        if self._process:
+            cf = _process_submit(self._pool, self._service._kind, item)
         else:
             cf = self._pool.submit(self._service._execute, self._checkout, item)
         future = asyncio.wrap_future(cf, loop=self._loop)
-        future._cf = cf
         self._window.append(future)
         return future
 
@@ -2191,7 +1616,7 @@ class AsyncServingSession:
             raise RuntimeError("no in-flight units")
         future = self._window.popleft()
         try:
-            return await self._finish(future)
+            return await future
         finally:
             self._emitted.set()
 
@@ -2201,33 +1626,15 @@ class AsyncServingSession:
         while self._window:
             yield await self.next_result()
 
-    async def _finish(self, future) -> tuple[BatchRecord, object]:
-        cf = getattr(future, "_cf", future)
-        try:
-            record, result = await future
-        except BaseException:
-            # Release the slab only when the worker is actually done with
-            # it (worker exception).  If *this await* was cancelled while
-            # the worker still runs, the slab stays leased — it is
-            # reclaimed when the ring is destroyed at close, and must not
-            # be handed to another unit mid-write.
-            if self._transport is not None and cf.done():
-                self._transport.fail(cf)
-            raise
-        if self._transport is not None:
-            record, result = self._transport.finalize(cf, record, result)
-        return record, result
-
     # ------------------------------------------------------------------
     async def aclose(self) -> None:
-        """Drain in-flight units, release all slabs, shut the backend down.
+        """Drain in-flight units, shut the backend down.
 
         Robust to being called from a *cancelled* task (the common early-
         close path): draining may be cut short by the pending
         ``CancelledError``, but the backend shutdown below is synchronous —
         it waits out whatever is still executing — so no unit is ever
-        orphaned and the slab ring is always destroyed.  The cancellation
-        is re-raised after cleanup.
+        orphaned.  The cancellation is re-raised after cleanup.
         """
 
         if self._closed:
@@ -2251,25 +1658,13 @@ class AsyncServingSession:
                 # even that wait is cancelled, fall back to blocking —
                 # the no-orphaned-work guarantee outranks loop liveness.
                 try:
-                    if self._pool is not None:
-                        await asyncio.get_running_loop().run_in_executor(
-                            None, lambda: self._pool.shutdown(wait=True)
-                        )
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, lambda: self._pool.shutdown(wait=True)
+                    )
                 except asyncio.CancelledError as exc:
                     cancelled = exc
                     self._pool.shutdown(wait=True)
             finally:
-                if self._transport is not None:
-                    fallbacks = self._transport.fallbacks
-                    self._transport.close()
-                    if fallbacks:
-                        # Surface silent shm→pickle degradation where the
-                        # bench/health layers look: the service's fault
-                        # totals and the most recent stream's counters.
-                        self._service._supervisor.totals.shm_fallbacks += fallbacks
-                        self._service._last_faults = FaultCounters(
-                            shm_fallbacks=fallbacks
-                        )
                 if self._checkout is not None:
                     self._checkout.release()
         if cancelled is not None:

@@ -16,7 +16,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.hotpath_lint import lint_source as lint_hotpath
 from repro.analysis.concurrency_lint import (
     lint_async_source,
-    lint_lease_source,
     lint_result_timeout_source,
 )
 from repro.analysis.api_lint import audit_source
@@ -142,77 +141,6 @@ class TestHotPathLint:
                     return run_slot
         """), "m.py")
         assert diags == []
-
-
-class TestLeaseLint:
-    def test_leaked_lease_flagged(self):
-        diags = lint_lease_source(_src("""
-            def f(ring, data):
-                slab = ring.try_lease()
-                if slab is None:
-                    return None
-                return len(data)
-        """), "m.py")
-        assert "CL001" in _rules(diags)
-
-    def test_release_not_in_finally_warned(self):
-        diags = lint_lease_source(_src("""
-            def f(ring, data):
-                slab = ring.try_lease()
-                if slab is None:
-                    return None
-                value = data[slab]
-                ring.release(slab)
-                return value
-        """), "m.py")
-        assert _rules(diags) == ["CL002"]
-
-    def test_finally_protected_release_clean(self):
-        diags = lint_lease_source(_src("""
-            def f(ring, data):
-                slab = ring.try_lease()
-                if slab is None:
-                    return None
-                try:
-                    value = data[slab]
-                finally:
-                    ring.release(slab)
-                return value
-        """), "m.py")
-        assert diags == []
-
-    def test_escaped_lease_needs_finally_release_somewhere(self):
-        src_leaky = _src("""
-            class S:
-                def submit(self, ring, data):
-                    slab = ring.try_lease()
-                    fut = pool.submit(work, slab, data)
-                    fut._slab = slab
-                    return fut
-        """)
-        diags = lint_lease_source(src_leaky, "m.py")
-        assert "CL003" in _rules(diags)
-
-        src_disciplined = src_leaky + _src("""
-            class T:
-                def finalize(self, ring, fut):
-                    try:
-                        return fut.result()
-                    finally:
-                        ring.release(fut._slab)
-
-                def fail(self, ring, fut):
-                    ring.release(fut._slab)
-        """)
-        assert lint_lease_source(src_disciplined, "m.py") == []
-
-    def test_conditional_lease_expression_tracked(self):
-        diags = lint_lease_source(_src("""
-            def f(ring, ok):
-                slab = ring.try_lease() if ok else None
-                return 1
-        """), "m.py")
-        assert "CL001" in _rules(diags)
 
 
 class TestAsyncBlockingLint:

@@ -168,27 +168,6 @@ class TestServingPath:
         assert comp.compress(raw_wedges).payload == singles
         assert comp.compress_into(raw_wedges).payload == singles
 
-    def test_compress_into_out_buffer(self, small_model, raw_wedges):
-        comp = BCAECompressor(small_model)
-        ref = comp.compress(raw_wedges)
-        out = bytearray(ref.nbytes)
-        c = comp.compress_into(raw_wedges, out=out)
-        assert bytes(out) == ref.payload
-        assert c.payload.obj is out  # aliases the caller's buffer
-
-    def test_compress_into_oversized_out_buffer(self, small_model, raw_wedges):
-        """A larger ring buffer must still yield a correctly-sized payload
-        and a working codes()/decompress round trip."""
-
-        comp = BCAECompressor(small_model)
-        ref = comp.compress(raw_wedges)
-        out = bytearray(ref.nbytes + 64)
-        c = comp.compress_into(raw_wedges, out=out)
-        assert c.nbytes == ref.nbytes
-        assert bytes(c.payload) == ref.payload
-        np.testing.assert_array_equal(c.codes_view(), ref.codes_view())
-        np.testing.assert_array_equal(comp.decompress(c), comp.decompress(ref))
-
     def test_fast_path_tracks_weight_updates(self, small_model, raw_wedges):
         """Regression: the compiled fast path must not serve stale weights
         after an (in-place) parameter update."""

@@ -20,6 +20,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--transport", "pickle"), ("--shm-slab-mb", "4"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["serve"], ["decompress", "--archive", "codes.npz"],
+    ], ids=["serve", "decompress"])
+    def test_retired_handoff_flags_rejected(self, command, flag, value, capsys):
+        """The process backend has one hand-off; its former selectors are
+        usage errors, not silently ignored."""
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + ["--backend", "process", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_generate(self, tmp_path, capsys):
@@ -95,6 +110,17 @@ class TestExtensionCommands:
         ])
         assert rc == 0
         assert "workers=2" in capsys.readouterr().out
+
+    def test_serve_process_backend(self, capsys):
+        rc = main([
+            "serve", "--wedges", "8", "--batch", "4", "--workers", "1",
+            "--backend", "process", "--m", "1", "--n", "1", "--d", "1",
+            "--baseline",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "payload parity with serial path: OK" in out
+        assert "hand-off" not in out
 
     def test_serve_archive_then_decompress(self, tmp_path, capsys):
         """The round-trip CLI story: serve → archive → decompress --verify."""

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BCAECompressor, build_model
 from repro.io import concat_compressed, load_compressed, save_compressed, split_compressed
+from repro.serve import DecompressionService, ServiceConfig
 
 
 @pytest.fixture(scope="module")
@@ -42,14 +43,13 @@ class TestRoundTrips:
         np.testing.assert_array_equal(comp.decompress(loaded), comp.decompress(c))
 
     def test_oversized_payload(self, small_model, raw_wedges, tmp_path):
-        """A ring-buffer payload larger than the codes still archives and
+        """A payload buffer longer than the codes still archives and
         decodes correctly (codes_view reads exactly n_wedges records)."""
 
         comp = BCAECompressor(small_model)
         ref = comp.compress(raw_wedges)
-        out = bytearray(ref.nbytes + 128)
-        c = comp.compress_into(raw_wedges, out=out)
-        loaded, _ = load_compressed(save_compressed(c, tmp_path / "ring.npz"))
+        padded = dataclasses.replace(ref, payload=ref.payload + bytes(128))
+        loaded, _ = load_compressed(save_compressed(padded, tmp_path / "pad.npz"))
         np.testing.assert_array_equal(loaded.codes_view(), ref.codes_view())
         np.testing.assert_array_equal(comp.decompress(loaded), comp.decompress(ref))
 
@@ -104,6 +104,102 @@ class TestValidation:
         bad = dataclasses.replace(compressed, code_dtype="<f4")
         with pytest.raises(ValueError, match="dtype"):
             BCAECompressor(small_model).decompress(bad)
+
+
+def _poisoned_archive(compressed, tmp_path, **fields):
+    """Save ``compressed``, then overwrite header fields in the npz."""
+
+    path = save_compressed(compressed, tmp_path / "good.npz")
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    for key, value in fields.items():
+        arrays[key] = np.array(value, dtype=np.int64)
+    bad = tmp_path / "poisoned.npz"
+    np.savez_compressed(bad, **arrays)
+    return bad
+
+
+class TestPoisonedHeaders:
+    """Header fields no encoder can produce fail loudly, never decode."""
+
+    @pytest.mark.parametrize("n_wedges", [-1, -5])
+    def test_negative_wedge_count_rejected_at_load(self, compressed, tmp_path,
+                                                   n_wedges):
+        path = _poisoned_archive(compressed, tmp_path, n_wedges=[n_wedges])
+        with pytest.raises(ValueError, match="n_wedges"):
+            load_compressed(path)
+
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_degenerate_code_shape_rejected_at_load(self, compressed, tmp_path,
+                                                    dim):
+        shape = list(compressed.code_shape)
+        shape[1] = dim
+        path = _poisoned_archive(compressed, tmp_path, code_shape=shape)
+        with pytest.raises(ValueError, match="code_shape"):
+            load_compressed(path)
+
+    @pytest.mark.parametrize("horizontal", [0, -5])
+    def test_nonpositive_horizontal_rejected_at_load(self, compressed,
+                                                     tmp_path, horizontal):
+        path = _poisoned_archive(compressed, tmp_path,
+                                 original_horizontal=[horizontal])
+        with pytest.raises(ValueError, match="original_horizontal"):
+            load_compressed(path)
+
+    def test_too_wide_horizontal_rejected_at_decode(self, small_model,
+                                                    compressed, tmp_path):
+        path = _poisoned_archive(compressed, tmp_path,
+                                 original_horizontal=[10**6])
+        loaded, _ = load_compressed(path)
+        comp = BCAECompressor(small_model)
+        with pytest.raises(ValueError, match="original_horizontal"):
+            comp.decompress(loaded)
+        with pytest.raises(ValueError, match="original_horizontal"):
+            comp.decompress_into(loaded)
+
+    def test_padded_width_still_decodes(self, small_model, compressed,
+                                        tmp_path):
+        """The widest legal value is the decoder's own output width."""
+
+        comp = BCAECompressor(small_model)
+        extent = compressed.code_shape[-1] * 2 ** small_model.encoder.d
+        path = _poisoned_archive(compressed, tmp_path,
+                                 original_horizontal=[extent])
+        loaded, _ = load_compressed(path)
+        assert comp.decompress_into(loaded).shape[-1] == extent
+
+    def test_one_past_padded_width_rejected(self, small_model, compressed,
+                                            tmp_path):
+        comp = BCAECompressor(small_model)
+        extent = compressed.code_shape[-1] * 2 ** small_model.encoder.d
+        path = _poisoned_archive(compressed, tmp_path,
+                                 original_horizontal=[extent + 1])
+        loaded, _ = load_compressed(path)
+        with pytest.raises(ValueError, match="original_horizontal"):
+            comp.decompress_into(loaded)
+
+    @pytest.mark.parametrize("config", [
+        ServiceConfig(max_batch=2, workers=0),
+        ServiceConfig(max_batch=2, workers=1, backend="process"),
+    ], ids=["inline", "process"])
+    def test_too_wide_horizontal_rejected_by_service(self, small_model,
+                                                     compressed, tmp_path,
+                                                     config):
+        """The served decode path validates the header like the serial
+        one, on either side of the process boundary."""
+
+        path = _poisoned_archive(compressed, tmp_path,
+                                 original_horizontal=[10**6])
+        loaded, _ = load_compressed(path)
+        service = DecompressionService(small_model, config)
+        with pytest.raises(ValueError, match="original_horizontal"):
+            service.run(loaded)
+
+    def test_constructor_rejects_the_same_fields(self, compressed):
+        for fields in ({"n_wedges": -1}, {"code_shape": (8, 0, 4)},
+                       {"original_horizontal": 0}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(compressed, **fields)
 
 
 class TestRechunking:

@@ -1,10 +1,10 @@
 """Serving parity for the adaptive tier: every backend, same bytes.
 
 Selection is a pure per-wedge function and the BCAE sub-batch path is
-batch-composition independent, so the inline, thread, process (both
-transports) and gateway paths must produce byte-identical archives *and*
-identical :class:`RateDecision` ledgers — including after an injected
-worker crash (the PR-8 SIGKILL hook).
+batch-composition independent, so the inline, thread, process and
+gateway paths must produce byte-identical archives *and* identical
+:class:`RateDecision` ledgers — including after an injected worker crash
+(the SIGKILL hook).
 """
 
 from __future__ import annotations
@@ -80,12 +80,9 @@ class TestBackendParity:
         payloads, _ = service.run(wedges)
         assert _flat(payloads) == _flat(inline_payloads)
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_process_backend_parity(
-        self, model, wedges, inline_payloads, transport
-    ):
+    def test_process_backend_parity(self, model, wedges, inline_payloads):
         service = StreamingCompressionService(
-            model, _config(workers=1, backend="process", transport=transport)
+            model, _config(workers=1, backend="process")
         )
         payloads, _ = service.run(wedges)
         assert _flat(payloads) == _flat(inline_payloads)
@@ -118,15 +115,14 @@ class TestCrashRecoveryParity:
         os.environ.pop("REPRO_SERVE_KILL_FILE", None)
         os.environ.pop("REPRO_SERVE_KILL_SEQ", None)
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
     def test_sigkill_mid_stream_ledger_survives(
-        self, model, wedges, inline_payloads, transport, tmp_path
+        self, model, wedges, inline_payloads, tmp_path
     ):
         """A SIGKILLed worker is replaced and the retried unit reproduces
         the exact payload *and* RateDecision ledger of the inline path."""
 
         service = StreamingCompressionService(model, _config(
-            workers=1, backend="process", transport=transport,
+            workers=1, backend="process",
             max_retries=1, backoff_base_s=0.0,
         ))
         self._kill_token(tmp_path, seq=1)

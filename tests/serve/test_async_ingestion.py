@@ -229,8 +229,8 @@ class TestAsyncSyncEquivalence:
     @pytest.mark.parametrize("config", [
         ServiceConfig(max_batch=4, workers=0),
         ServiceConfig(max_batch=4, workers=2, inflight=3),
-        ServiceConfig(max_batch=8, workers=1, backend="process", shm_slab_mb=4.0),
-    ], ids=["inline", "thread2", "process-shm"])
+        ServiceConfig(max_batch=8, workers=1, backend="process"),
+    ], ids=["inline", "thread2", "process"])
     def test_same_bytes_same_order(self, model, wedges, serial_payloads, config):
         service = StreamingCompressionService(model, config)
         payloads, stats = asyncio.run(service.run_async(wedges))
@@ -306,25 +306,6 @@ class TestCancellationAndClose:
         # The service survives an abandoned stream: full parity afterwards.
         payloads, _ = service.run(wedges)
         assert b"".join(bytes(p.payload) for p in payloads) == b"".join(serial_payloads)
-
-    def test_early_close_releases_all_slabs(self, model, wedges):
-        from multiprocessing import shared_memory
-
-        service = StreamingCompressionService(
-            model,
-            ServiceConfig(max_batch=2, workers=1, backend="process", shm_slab_mb=4.0),
-        )
-
-        async def run():
-            gen = service.compress_stream_async(wedges)
-            await gen.__anext__()
-            await gen.aclose()
-
-        asyncio.run(run())
-        assert service.last_shm["transport"] == "shm"
-        assert service.last_shm["leased_at_close"] == 0
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=service.last_shm["name"])
 
     def test_session_submit_and_ordered_results(self, model, wedges):
         from repro.serve import MicroBatcher, iter_wedges

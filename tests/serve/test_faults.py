@@ -2,14 +2,13 @@
 
 A worker that raises mid-batch must (1) surface the error on the owning
 unit — the future the submitter holds, or the run() call at that unit's
-position — (2) release its slab and in-flight slot, and (3) leave the
+position — (2) release its in-flight slot, and (3) leave the
 service fully serviceable for subsequent submissions.  These paths were
 previously untested; the :class:`HandoffProbeService` poison hook makes
 the fault deterministic on every backend without corrupting model state.
 """
 
 import asyncio
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -35,14 +34,8 @@ BACKENDS = [
     pytest.param(ServiceConfig(max_batch=2, workers=0), id="inline"),
     pytest.param(ServiceConfig(max_batch=2, workers=2, inflight=3), id="thread"),
     pytest.param(
-        ServiceConfig(max_batch=2, workers=1, backend="process", inflight=3,
-                      shm_slab_mb=1.0),
-        id="process-shm",
-    ),
-    pytest.param(
-        ServiceConfig(max_batch=2, workers=1, backend="process", inflight=3,
-                      transport="pickle"),
-        id="process-pickle",
+        ServiceConfig(max_batch=2, workers=1, backend="process", inflight=3),
+        id="process",
     ),
 ]
 
@@ -78,19 +71,6 @@ class TestWorkerFaultSurfaces:
         with pytest.raises(RuntimeError):
             probe.run(probe.items(_arrays(), poison_seqs=[1]))
         assert len(probe._idle) >= before
-
-    def test_shm_slab_released_on_fault(self):
-        """The poisoned unit's slab is freed; the ring never leaks."""
-
-        probe = HandoffProbeService(
-            ServiceConfig(max_batch=2, workers=1, backend="process",
-                          inflight=2, shm_slab_mb=1.0)
-        )
-        with pytest.raises(RuntimeError, match="injected"):
-            probe.run(probe.items(_arrays(), poison_seqs=[1]))
-        assert probe.last_shm["transport"] == "shm"
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=probe.last_shm["name"])
 
 
 class TestAsyncFaultOwnership:
@@ -135,8 +115,7 @@ class TestAsyncFaultOwnership:
 
     def test_session_aclose_after_fault_drains(self):
         probe = HandoffProbeService(
-            ServiceConfig(workers=1, backend="process", inflight=4,
-                          shm_slab_mb=1.0)
+            ServiceConfig(workers=1, backend="process", inflight=4)
         )
         items = probe.items(_arrays(3), poison_seqs=[0, 1, 2])
 
@@ -148,8 +127,6 @@ class TestAsyncFaultOwnership:
             assert session.pending == 0
 
         asyncio.run(run())
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=probe.last_shm["name"])
 
 
 class TestRealServiceFaults:
@@ -167,11 +144,9 @@ class TestRealServiceFaults:
         w[w < 500] = 0
         return w
 
-    @pytest.mark.parametrize("backend,transport", [
-        ("thread", "shm"), ("process", "shm"), ("process", "pickle"),
-    ])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_precision_mismatch_fault_then_recovery(self, model, wedges,
-                                                    backend, transport):
+                                                    backend):
         """A payload in the wrong precision mode raises in the worker; the
         service then serves a valid stream untouched."""
 
@@ -182,8 +157,7 @@ class TestRealServiceFaults:
         bad = dataclasses.replace(good, half=False)  # worker will reject
         service = DecompressionService(
             model,
-            ServiceConfig(max_batch=2, workers=1, backend=backend,
-                          transport=transport, shm_slab_mb=1.0),
+            ServiceConfig(max_batch=2, workers=1, backend=backend),
         )
         with pytest.raises(ValueError, match="precision"):
             service.run(bad)

@@ -1,5 +1,7 @@
 """The model-pool services: ordering, parity, stats, worker backends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,61 @@ class TestConfigValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ServiceConfig(backend="fiber")
+
+    @pytest.mark.parametrize("max_batch", [0, -3])
+    def test_nonpositive_max_batch_rejected(self, max_batch):
+        with pytest.raises(ValueError, match="max_batch"):
+            ServiceConfig(max_batch=max_batch)
+
+    def test_negative_max_delay_rejected(self):
+        with pytest.raises(ValueError, match="max_delay_s"):
+            ServiceConfig(max_delay_s=-0.001)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_delay_s", float("nan")),
+        ("unit_timeout_s", 0),
+        ("unit_timeout_s", -1.0),
+        ("unit_timeout_s", float("nan")),
+        ("max_retries", -1),
+        ("backoff_base_s", -0.01),
+        ("backoff_base_s", float("nan")),
+        ("degrade_after", 0),
+        ("rate_policy", "fastest"),
+    ])
+    def test_bad_knob_rejected_naming_it(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_budget_without_policy_rejected(self):
+        with pytest.raises(ValueError, match="requires a rate_policy"):
+            ServiceConfig(rate_budget_mbps=100.0)
+
+    @pytest.mark.parametrize("budget", [0.0, -5.0, float("nan")])
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="rate_budget_mbps"):
+            ServiceConfig(rate_policy="occupancy", rate_budget_mbps=budget)
+
+    def test_unbounded_delay_budget_flushes_on_size(
+        self, model, wedges, serial_payloads
+    ):
+        """An infinite accumulation budget is legal: batches close on size
+        (and end of stream) only, with unchanged bytes."""
+
+        service = StreamingCompressionService(
+            model, ServiceConfig(max_batch=4, max_delay_s=float("inf"))
+        )
+        # Arrivals a day apart would each close a batch under any finite
+        # budget.
+        timed = [(86400.0 * i, w) for i, w in enumerate(wedges)]
+        payloads, stats = service.run(replay_stream(timed))
+        assert [r.n_wedges for r in stats.records] == [4, 4, 4, 1]
+        assert b"".join(bytes(p.payload) for p in payloads) == b"".join(serial_payloads)
+
+    @pytest.mark.parametrize("knob", ["transport", "shm_slab_mb"])
+    def test_retired_handoff_knobs_are_gone(self, knob):
+        """Process workers have one hand-off (pickle); its former
+        selectors are no longer configuration."""
+
+        assert knob not in {f.name for f in dataclasses.fields(ServiceConfig)}
+        with pytest.raises(TypeError, match=knob):
+            ServiceConfig(**{knob: 1})

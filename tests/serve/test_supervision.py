@@ -1,12 +1,11 @@
 """The supervision layer: crash recovery, deadlines, retry, degrade, drain.
 
-The full fault matrix on every backend — {kill, hang, poison,
-corrupt-slab} × {retry-succeeds, retries-exhausted, degraded-fallback} —
-each case asserting the service afterwards serves byte-identical results
-to the inline backend and that the slab ring leaked nothing.  Faults are
-injected deterministically through :class:`ProbeItem` (every backend) and
-the ``REPRO_SERVE_KILL_FILE`` hook (a real SIGKILL inside a real
-compress worker — the ISSUE's acceptance scenario).
+The full fault matrix on every backend — {kill, hang, poison} ×
+{retry-succeeds, retries-exhausted, degraded-fallback} — each case
+asserting the service afterwards serves byte-identical results to the
+inline backend.  Faults are injected deterministically through
+:class:`ProbeItem` (every backend) and the ``REPRO_SERVE_KILL_FILE`` hook
+(a real SIGKILL inside a real compress worker).
 """
 
 import json
@@ -43,10 +42,8 @@ def _config(backend: str, **kw) -> ServiceConfig:
         base.update(workers=0)
     elif backend == "thread":
         base.update(workers=2)
-    elif backend == "process-shm":
-        base.update(workers=1, backend="process", shm_slab_mb=1.0)
-    else:  # process-pickle
-        base.update(workers=1, backend="process", transport="pickle")
+    else:  # process
+        base.update(workers=1, backend="process")
     base.update(kw)
     return ServiceConfig(**base)
 
@@ -54,27 +51,24 @@ def _config(backend: str, **kw) -> ServiceConfig:
 def _assert_clean(probe: HandoffProbeService, arrays) -> None:
     """The post-fault invariant every matrix case ends on: the same
     service instance serves a full follow-up run identical to the inline
-    backend, and no slab stayed leased."""
+    backend."""
 
     results, stats = probe.run(arrays, keep_results=True)
     assert results == _checksums(arrays)
     assert [r.seq for r in stats.records] == list(range(len(arrays)))
-    if probe.last_shm.get("transport") == "shm":
-        assert probe.last_shm["leased_at_close"] == 0
 
 
-BACKENDS = ["inline", "thread", "process-shm", "process-pickle"]
 # On inline/thread the injected kill raises WorkerCrashError (threads
 # cannot be SIGKILLed); on process it is a real SIGKILL -> broken pool.
 # Either way the supervisor charges the owning unit the same way.
-CRASH_FAULTS = ["kill", "corrupt-slab"]
+BACKENDS = ["inline", "thread", "process"]
 
 
 class TestRetrySucceeds:
     """Fault on the first attempt only -> the unit succeeds on retry."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("fault", ["poison", "kill", "corrupt-slab"])
+    @pytest.mark.parametrize("fault", ["poison", "kill"])
     def test_one_shot_fault_retries_to_success(self, backend, fault):
         probe = HandoffProbeService(_config(backend, max_retries=2))
         arrays = _arrays()
@@ -93,7 +87,7 @@ class TestRetrySucceeds:
         # Thread workers cannot be interrupted, so the hang must be short
         # enough to finish before interpreter exit joins the abandoned
         # pool; process workers are SIGKILLed, so any length works.
-        hang_s = 10.0 if backend.startswith("process") else 0.5
+        hang_s = 10.0 if backend == "process" else 0.5
         probe = HandoffProbeService(
             _config(backend, unit_timeout_s=0.15, max_retries=2)
         )
@@ -120,7 +114,6 @@ class TestRetriesExhausted:
     @pytest.mark.parametrize("fault,exc", [
         ("poison", RuntimeError),
         ("kill", WorkerCrashError),
-        ("corrupt-slab", WorkerCrashError),
     ])
     def test_persistent_fault_surfaces_on_owner(self, backend, fault, exc):
         probe = HandoffProbeService(_config(backend, max_retries=1))
@@ -133,10 +126,9 @@ class TestRetriesExhausted:
         assert totals.retries == 1
         _assert_clean(probe, arrays)
 
-    @pytest.mark.parametrize("backend", ["thread", "process-shm",
-                                         "process-pickle"])
+    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_persistent_hang_raises_unit_timeout(self, backend):
-        hang_s = 10.0 if backend.startswith("process") else 0.3
+        hang_s = 10.0 if backend == "process" else 0.3
         probe = HandoffProbeService(
             _config(backend, unit_timeout_s=0.15, max_retries=1,
                     degrade_after=10)
@@ -149,18 +141,17 @@ class TestRetriesExhausted:
         _assert_clean(probe, arrays)
 
     def test_zero_retries_is_fail_fast(self):
-        probe = HandoffProbeService(_config("process-shm"))
+        probe = HandoffProbeService(_config("process"))
         arrays = _arrays()
         with pytest.raises(WorkerCrashError):
             probe.run(probe.items(arrays, faults={0: "kill"}))
         assert probe.health().faults.retries == 0
         _assert_clean(probe, arrays)
 
-    @pytest.mark.parametrize("backend", ["process-shm", "process-pickle"])
-    def test_crash_charged_only_to_owner(self, backend):
+    def test_crash_charged_only_to_owner(self):
         # A broken pool fails every in-flight future; units other than
         # the killer must be re-driven uncharged and emit attempts=1.
-        probe = HandoffProbeService(_config(backend, max_retries=1))
+        probe = HandoffProbeService(_config("process", max_retries=1))
         arrays = _arrays(6)
         items = probe.items(arrays, faults={2: "kill"}, fail_attempts=1)
         results, stats = probe.run(items, keep_results=True)
@@ -171,16 +162,14 @@ class TestRetriesExhausted:
 class TestDegradedFallback:
     """The circuit breaker steps the backend down instead of dying."""
 
-    @pytest.mark.parametrize("backend", ["process-shm", "process-pickle"])
-    @pytest.mark.parametrize("fault", CRASH_FAULTS)
-    def test_process_degrades_to_thread_and_succeeds(self, backend, fault):
+    def test_process_degrades_to_thread_and_succeeds(self):
         probe = HandoffProbeService(
-            _config(backend, max_retries=4, degrade_after=2)
+            _config("process", max_retries=4, degrade_after=2)
         )
         arrays = _arrays()
         # Crashes twice (trips the breaker at degrade_after=2), then the
         # third attempt runs on the thread level and succeeds.
-        items = probe.items(arrays, faults={1: fault}, fail_attempts=2)
+        items = probe.items(arrays, faults={1: "kill"}, fail_attempts=2)
         results, stats = probe.run(items, keep_results=True)
         assert results == _checksums(arrays)
         assert stats.faults.degraded == 1
@@ -217,8 +206,8 @@ class TestDegradedFallback:
 
 
 class TestRealServiceCrashRecovery:
-    """The ISSUE's acceptance scenario: a real compress worker SIGKILLed
-    mid-batch, on both process transports."""
+    """A real compress worker SIGKILLed mid-batch on the process
+    backend."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -249,12 +238,11 @@ class TestRealServiceCrashRecovery:
         os.environ.pop("REPRO_SERVE_KILL_FILE", None)
         os.environ.pop("REPRO_SERVE_KILL_SEQ", None)
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
     def test_sigkill_mid_batch_recovers_byte_identical(
-        self, model, wedges, inline_payloads, transport, tmp_path
+        self, model, wedges, inline_payloads, tmp_path
     ):
         service = StreamingCompressionService(model, ServiceConfig(
-            max_batch=4, workers=1, backend="process", transport=transport,
+            max_batch=4, workers=1, backend="process",
             max_retries=1, backoff_base_s=0.0,
         ))
         self._kill_token(tmp_path, seq=1)
@@ -268,24 +256,18 @@ class TestRealServiceCrashRecovery:
         killed = [r for r in stats.records if r.seq == 1][0]
         assert killed.attempts == 2
         assert stats.faults.crashes >= 1
-        if transport == "shm":
-            assert service.last_shm["leased_at_close"] == 0
-            assert service.last_shm["ring_rebuilds"] >= 1
-        # Same instance, full follow-up run, byte-identical, no leaks.
+        # Same instance, full follow-up run, byte-identical.
         payloads, stats = service.run(wedges)
         assert [bytes(p.payload) for p in payloads] == [
             bytes(p.payload) for p in inline_payloads
         ]
         assert stats.faults.crashes == 0
-        if transport == "shm":
-            assert service.last_shm["leased_at_close"] == 0
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
     def test_sigkill_without_retry_budget_fails_owner_only(
-        self, model, wedges, inline_payloads, transport, tmp_path
+        self, model, wedges, inline_payloads, tmp_path
     ):
         service = StreamingCompressionService(model, ServiceConfig(
-            max_batch=4, workers=1, backend="process", transport=transport,
+            max_batch=4, workers=1, backend="process",
         ))
         self._kill_token(tmp_path, seq=1)
         try:
@@ -293,8 +275,6 @@ class TestRealServiceCrashRecovery:
                 service.run(wedges)
         finally:
             self._clear_token()
-        if transport == "shm":
-            assert service.last_shm["leased_at_close"] == 0
         payloads, _ = service.run(wedges)
         assert [bytes(p.payload) for p in payloads] == [
             bytes(p.payload) for p in inline_payloads
@@ -347,7 +327,7 @@ class TestDrain:
 
 class TestHealth:
     def test_healthy_service_reports_state(self):
-        probe = HandoffProbeService(_config("process-shm"))
+        probe = HandoffProbeService(_config("process"))
         health = probe.health()
         assert health.state == "healthy"
         assert health.ok
@@ -356,7 +336,6 @@ class TestHealth:
         probe.run(probe.items(_arrays(2)))
         health = probe.health()
         assert health.last_unit_latency_s >= 0.0
-        assert health.ring_leased == 0
         assert health.faults.total == 0
 
     def test_health_counts_faults_across_streams(self):
@@ -393,40 +372,6 @@ class TestHealth:
             assert json.loads(err.value.read())["state"] == "drained"
         finally:
             server.shutdown()
-
-
-class TestSlabRingAccessors:
-    def test_stats_and_leak_assertion(self):
-        from repro.serve import SlabRing
-
-        ring = SlabRing.create(n_slabs=3, slab_nbytes=64)
-        try:
-            assert ring.stats() == {
-                "n_slabs": 3, "slab_nbytes": 64, "leased": 0, "free": 3,
-            }
-            ring.assert_no_leaks()
-            slab = ring.try_lease()
-            assert ring.leased_count() == 1
-            assert ring.stats()["free"] == 2
-            with pytest.raises(AssertionError, match="leaked 1 lease"):
-                ring.assert_no_leaks("test stream")
-            ring.release(slab)
-            ring.assert_no_leaks()
-        finally:
-            ring.destroy()
-
-    def test_release_after_crash_recovery_balances(self):
-        # The regression the ring_rebuild guard exists for: a crash with
-        # leases outstanding must not leak them into the replacement ring.
-        probe = HandoffProbeService(
-            _config("process-shm", max_retries=2, inflight=3)
-        )
-        arrays = _arrays(8)
-        items = probe.items(arrays, faults={3: "kill"}, fail_attempts=1)
-        results, _ = probe.run(items, keep_results=True)
-        assert results == _checksums(arrays)
-        assert probe.last_shm["leased_at_close"] == 0
-        assert probe.last_shm["ring_rebuilds"] >= 1
 
 
 class TestConfigValidation:

@@ -168,12 +168,11 @@ class TestServingApiDocumented:
             AsyncServingSession,
             DecompressionService,
             ServiceConfig,
-            SlabRing,
             StreamingCompressionService,
         )
 
         for obj in (ServiceConfig, StreamingCompressionService,
-                    DecompressionService, AsyncServingSession, SlabRing,
+                    DecompressionService, AsyncServingSession,
                     StreamingCompressionService.compress_stream_async):
             assert ">>>" in (inspect.getdoc(obj) or ""), (
                 f"{getattr(obj, '__qualname__', obj)} lost its usage example"
